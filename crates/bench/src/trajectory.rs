@@ -1,16 +1,14 @@
-//! Pipeline performance trajectory: appends timing/counter entries to
-//! `results/BENCH_pipeline.json`.
+//! Performance trajectory file: appends timing/counter entries to a
+//! `results/BENCH_*.json` record (today `serve_shards` writes
+//! `results/BENCH_serve_shards.json`).
 //!
 //! The file mirrors the `BENCH_kernels.json` layout — a schema header
 //! plus one entry object per line — so entries stay diff-friendly and
-//! greppable. Entries accumulate across sessions: each optimisation or
-//! instrumentation change appends `label`-tagged rows, and the file
-//! becomes the before/after record (e.g. `pre_obs` vs `obs_off` rows
-//! demonstrate the disabled-path overhead bound).
+//! greppable. Entries accumulate across runs: each change appends
+//! `label`-tagged rows, and the file becomes the before/after record.
 //!
-//! Serde is unavailable in this workspace's offline build, so the writer
-//! renders JSON by hand and the appender preserves existing entry lines
-//! textually rather than round-tripping through a parser.
+//! The writer renders JSON by hand and the appender preserves existing
+//! entry lines textually rather than round-tripping through a parser.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -21,10 +19,9 @@ pub const SCHEMA: &str = "preqr-bench-pipeline-v1";
 /// One timed pipeline phase under one configuration.
 #[derive(Clone, Debug)]
 pub struct PipelineEntry {
-    /// Change label, e.g. `pre_obs` (baseline before this layer existed)
-    /// or `obs_off` / `obs_on` (after, tracing disabled / enabled).
+    /// Row label naming the probe that wrote it, e.g. `serve_shards`.
     pub label: String,
-    /// Pipeline phase: `pretrain`, `execute`, `finetune`, …
+    /// Configuration within the probe, e.g. `shards4`.
     pub phase: String,
     /// Worker-thread setting the phase ran under.
     pub threads: usize,
@@ -150,11 +147,11 @@ mod tests {
 
     #[test]
     fn entry_renders_flat_json() {
-        let mut e = entry("obs_off", 0.5);
+        let mut e = entry("serve_shards", 0.5);
         e.counters.push(("nn.matmul.calls".to_string(), 42));
         let j = e.to_json();
         assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"label\": \"obs_off\""));
+        assert!(j.contains("\"label\": \"serve_shards\""));
         assert!(j.contains("\"seconds\": 0.500000"));
         assert!(j.contains("\"counters\": {\"nn.matmul.calls\": 42}"));
     }

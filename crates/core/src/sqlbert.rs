@@ -287,11 +287,30 @@ impl SqlBert {
     ) -> (Tensor, usize, usize) {
         let (overrides, targets) = self.mlm_corrupt(pq, rng);
         let reps = self.forward(pq, Some(&overrides), nodes, true, rng);
+        self.mlm_score(&reps, &targets)
+    }
+
+    /// Eval-mode MLM score of one freshly corrupted example: no dropout,
+    /// no tape, no parameter change. Returns the masked positions' mean
+    /// cross-entropy, their count, and how many the greedy prediction got
+    /// right. `rng` draws only the corruption.
+    pub fn mlm_eval(&self, pq: &PreparedQuery, rng: &mut StdRng) -> (f64, usize, usize) {
+        let (overrides, targets) = self.mlm_corrupt(pq, rng);
+        preqr_nn::no_grad(|| {
+            let reps = self.forward(pq, Some(&overrides), None, false, rng);
+            let (loss, masked, correct) = self.mlm_score(&reps, &targets);
+            (f64::from(loss.value_clone().get(0, 0)), masked, correct)
+        })
+    }
+
+    /// MLM head over the masked rows of `reps`: cross-entropy loss, masked
+    /// count, greedy-correct count.
+    fn mlm_score(&self, reps: &Tensor, targets: &[usize]) -> (Tensor, usize, usize) {
         let masked: Vec<usize> = (0..targets.len()).filter(|&i| targets[i] != usize::MAX).collect();
         if masked.is_empty() {
-            return (ops::sum_all(&ops::scale(&reps, 0.0)), 0, 0);
+            return (ops::sum_all(&ops::scale(reps, 0.0)), 0, 0);
         }
-        let rows = ops::gather_rows(&reps, &masked);
+        let rows = ops::gather_rows(reps, &masked);
         let logits = self.mlm_head.forward(&rows);
         let masked_targets: Vec<usize> = masked.iter().map(|&i| targets[i]).collect();
         // Greedy accuracy for monitoring.
@@ -504,8 +523,9 @@ impl SqlBert {
 /// The MLM pre-training workload (§3.5.2), driven by the shared
 /// `preqr-train` Trainer: schema node states are recomputed once per
 /// micro-batch and shared within it, each example masks tokens with the
-/// trainer-owned rng, and the `pretrain.*` counters are bumped from the
-/// epoch-end hook.
+/// trainer-owned rng, and the `pretrain.{masked,correct}_tokens`
+/// counters are bumped from the epoch-end hook (epochs, steps, samples
+/// and loss are the Trainer's `train.*` metrics).
 struct PretrainTask<'a> {
     model: &'a SqlBert,
     prepared: Vec<PreparedQuery>,
@@ -538,12 +558,8 @@ impl TrainTask for PretrainTask<'_> {
     }
 
     fn epoch_end(&mut self, st: &preqr_train::EpochStats) {
-        obs::counter_add(obs::Metric::PretrainEpochs, 1);
-        obs::counter_add(obs::Metric::PretrainSamples, st.samples as u64);
-        obs::counter_add(obs::Metric::PretrainSteps, st.steps);
         obs::counter_add(obs::Metric::PretrainMaskedTokens, st.masked as u64);
         obs::counter_add(obs::Metric::PretrainCorrectTokens, st.correct as u64);
-        obs::record_hist(obs::HistMetric::PretrainEpochLoss, st.loss);
     }
 }
 

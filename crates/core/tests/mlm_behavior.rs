@@ -33,11 +33,15 @@ fn corpus() -> Vec<Query> {
         .collect()
 }
 
-fn model() -> SqlBert {
+fn buckets() -> ValueBuckets {
     let mut b = ValueBuckets::new(8);
     b.insert("title", "production_year", (1930..2020).map(f64::from).collect());
     b.insert("title", "kind_id", (1..8).map(f64::from).collect());
-    SqlBert::new(&corpus(), &schema(), b, PreqrConfig::test())
+    b
+}
+
+fn model() -> SqlBert {
+    SqlBert::new(&corpus(), &schema(), buckets(), PreqrConfig::test())
 }
 
 #[test]
@@ -88,12 +92,58 @@ fn mask_rate_is_about_15_percent_of_maskable_positions() {
     assert!((0.13..0.30).contains(&rate), "mask rate {rate}");
 }
 
+/// Same templates as [`corpus`], literals it never contains.
+fn held_out() -> Vec<Query> {
+    (0..12)
+        .map(|i| {
+            parse(&format!(
+                "SELECT COUNT(*) FROM title t WHERE t.production_year > {} AND t.kind_id = {}",
+                1962 + i * 5,
+                1 + (i + 2) % 4
+            ))
+            .unwrap()
+        })
+        .collect()
+}
+
+/// Eval-mode MLM over ten fixed corruption draws of every held-out
+/// query (~180 masked tokens): (mean masked cross-entropy, accuracy).
+fn held_out_score(m: &SqlBert) -> (f64, f64) {
+    let prepared: Vec<_> = held_out().iter().map(|q| m.prepare(q)).collect();
+    let mut rng = StdRng::seed_from_u64(7);
+    let (mut loss, mut masked, mut correct) = (0.0, 0usize, 0usize);
+    for _ in 0..10 {
+        for pq in &prepared {
+            let (l, n, c) = m.mlm_eval(pq, &mut rng);
+            loss += l * n as f64;
+            masked += n;
+            correct += c;
+        }
+    }
+    (loss / masked as f64, correct as f64 / masked as f64)
+}
+
 #[test]
-fn mlm_predictions_become_confident_on_a_memorizable_corpus() {
-    let mut m = model();
-    let stats = m.pretrain(&corpus(), 10, 5e-3);
-    let last = stats.last().unwrap();
-    assert!(last.accuracy > 0.8, "a 12-query corpus should be memorized: acc {}", last.accuracy);
+fn pretraining_predicts_held_out_masked_tokens_at_every_seed() {
+    // The claim must hold for each model seed, not for a lucky one. Over
+    // seeds 0..12 held-out accuracy read 0.76-0.82 after training (≈0
+    // before) and the loss fell to 0.20-0.24 of its untrained value.
+    for seed in 0..4 {
+        let mut m = SqlBert::new(
+            &corpus(),
+            &schema(),
+            buckets(),
+            PreqrConfig { seed, ..PreqrConfig::test() },
+        );
+        let (loss_before, _) = held_out_score(&m);
+        m.pretrain(&corpus(), 10, 5e-3);
+        let (loss_after, acc_after) = held_out_score(&m);
+        assert!(
+            loss_after < 0.4 * loss_before,
+            "seed {seed}: held-out MLM loss {loss_before:.3} -> {loss_after:.3}"
+        );
+        assert!(acc_after > 0.6, "seed {seed}: held-out masked accuracy {acc_after:.2}");
+    }
 }
 
 #[test]

@@ -368,9 +368,9 @@ mod tests {
         let sink = Arc::new(TestSink::new());
         fresh(&sink);
         for i in 1..=100 {
-            record_hist(HistMetric::EstValQerror, f64::from(i));
+            record_hist(HistMetric::TrainValMetric, f64::from(i));
         }
-        let s = hist_summary(HistMetric::EstValQerror);
+        let s = hist_summary(HistMetric::TrainValMetric);
         clear_sink();
         assert_eq!(s.count, 100);
         assert_eq!(s.p50, 51.0);

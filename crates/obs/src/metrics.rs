@@ -27,22 +27,10 @@ pub enum Metric {
     NnJoinPool,
     /// `Matrix::matmul` family entry calls (all variants).
     NnMatmulCalls,
-    /// Completed pre-training epochs.
-    PretrainEpochs,
-    /// Query samples consumed by MLM pre-training.
-    PretrainSamples,
-    /// Optimizer steps taken during pre-training.
-    PretrainSteps,
     /// Tokens masked for the MLM objective.
     PretrainMaskedTokens,
     /// Masked tokens the model predicted correctly.
     PretrainCorrectTokens,
-    /// Downstream estimator training runs started.
-    EstTrainRuns,
-    /// Downstream estimator training epochs completed.
-    EstEpochs,
-    /// Trainings that ended via early stopping.
-    EstEarlyStops,
     /// Trainer runs started (`preqr-train`, any workload).
     TrainRuns,
     /// Trainer epochs completed (any workload).
@@ -87,20 +75,14 @@ pub enum Metric {
 
 impl Metric {
     /// Every counter, in flush order.
-    pub const ALL: [Metric; 33] = [
+    pub const ALL: [Metric; 27] = [
         Metric::NnDispatchInline,
         Metric::NnDispatchPool,
         Metric::NnJoinInline,
         Metric::NnJoinPool,
         Metric::NnMatmulCalls,
-        Metric::PretrainEpochs,
-        Metric::PretrainSamples,
-        Metric::PretrainSteps,
         Metric::PretrainMaskedTokens,
         Metric::PretrainCorrectTokens,
-        Metric::EstTrainRuns,
-        Metric::EstEpochs,
-        Metric::EstEarlyStops,
         Metric::TrainRuns,
         Metric::TrainEpochs,
         Metric::TrainSteps,
@@ -131,14 +113,8 @@ impl Metric {
             Metric::NnJoinInline => "nn.join.inline",
             Metric::NnJoinPool => "nn.join.pool",
             Metric::NnMatmulCalls => "nn.matmul.calls",
-            Metric::PretrainEpochs => "pretrain.epochs",
-            Metric::PretrainSamples => "pretrain.samples",
-            Metric::PretrainSteps => "pretrain.steps",
             Metric::PretrainMaskedTokens => "pretrain.masked_tokens",
             Metric::PretrainCorrectTokens => "pretrain.correct_tokens",
-            Metric::EstTrainRuns => "est.train_runs",
-            Metric::EstEpochs => "est.epochs",
-            Metric::EstEarlyStops => "est.early_stops",
             Metric::TrainRuns => "train.runs",
             Metric::TrainEpochs => "train.epochs",
             Metric::TrainSteps => "train.steps",
@@ -169,10 +145,6 @@ impl Metric {
 pub enum HistMetric {
     /// Wall-clock microseconds per `Matrix::matmul` family call.
     NnMatmulUs,
-    /// Mean MLM loss per pre-training epoch.
-    PretrainEpochLoss,
-    /// Mean validation q-error per fine-tuning epoch.
-    EstValQerror,
     /// Mean loss per trainer epoch (any workload).
     TrainEpochLoss,
     /// Epoch-end validation metric per trainer epoch (any workload).
@@ -190,10 +162,8 @@ pub enum HistMetric {
 
 impl HistMetric {
     /// Every histogram, in flush order.
-    pub const ALL: [HistMetric; 9] = [
+    pub const ALL: [HistMetric; 7] = [
         HistMetric::NnMatmulUs,
-        HistMetric::PretrainEpochLoss,
-        HistMetric::EstValQerror,
         HistMetric::TrainEpochLoss,
         HistMetric::TrainValMetric,
         HistMetric::EngineJoinCard,
@@ -206,8 +176,6 @@ impl HistMetric {
     pub fn name(self) -> &'static str {
         match self {
             HistMetric::NnMatmulUs => "nn.matmul_us",
-            HistMetric::PretrainEpochLoss => "pretrain.epoch_loss",
-            HistMetric::EstValQerror => "est.val_qerror",
             HistMetric::TrainEpochLoss => "train.epoch_loss",
             HistMetric::TrainValMetric => "train.val_metric",
             HistMetric::EngineJoinCard => "engine.join_cardinality",

@@ -20,7 +20,7 @@ use preqr_nn::layers::{Mlp, Module};
 use preqr_nn::{ops, Matrix, Tensor};
 use preqr_obs as obs;
 use preqr_sql::ast::Query;
-use preqr_train::{FnTask, Plan, Schedule, StepOutput, Trainer, TrainerConfig};
+use preqr_train::{FnTask, Plan, StepOutput, Trainer, TrainerConfig};
 
 use crate::metrics::{qerror, QErrorStats};
 
@@ -112,58 +112,19 @@ fn validation_qerror(
     target: Target,
     valid: &[LabeledQuery],
 ) -> f64 {
-    obs::counter_add(obs::Metric::EstEpochs, 1);
     if valid.is_empty() {
         return f64::INFINITY;
     }
-    let val = valid.iter().map(|lq| qerror(predict(lq), target.truth(lq))).sum::<f64>()
-        / valid.len() as f64;
-    if val.is_finite() {
-        obs::record_hist(obs::HistMetric::EstValQerror, val);
-    }
-    val
-}
-
-/// Options shared by the estimation fine-tuners — the legacy
-/// epochs/seed pair plus a pluggable learning-rate schedule (the default
-/// constant schedule reproduces the legacy trainers bit-for-bit).
-#[derive(Clone, Copy, Debug)]
-pub struct FineTuneOptions {
-    /// Maximum number of epochs (validation early stopping may end the
-    /// run sooner).
-    pub epochs: usize,
-    /// Model-initialization seed.
-    pub seed: u64,
-    /// Learning-rate schedule applied over the run's optimizer steps.
-    pub schedule: Schedule,
-}
-
-impl FineTuneOptions {
-    /// The legacy setup: constant learning rate.
-    pub fn new(epochs: usize, seed: u64) -> Self {
-        Self { epochs, seed, schedule: Schedule::Constant }
-    }
-
-    /// Sets the learning-rate schedule.
-    pub fn with_schedule(mut self, schedule: Schedule) -> Self {
-        self.schedule = schedule;
-        self
-    }
+    valid.iter().map(|lq| qerror(predict(lq), target.truth(lq))).sum::<f64>() / valid.len() as f64
 }
 
 /// Builds the Trainer configuration every estimation fine-tuner shares:
 /// insertion-order visits (no shuffling), one optimizer step per
-/// `chunk`, patience-3 early stopping on the validation q-error (skipped
-/// when there is no validation split, matching the legacy trainers).
-fn estimator_config(
-    opts: FineTuneOptions,
-    chunk: usize,
-    lr: f32,
-    has_valid: bool,
-) -> TrainerConfig {
-    let mut config =
-        TrainerConfig::new(Plan::Epochs { epochs: opts.epochs, chunk, shuffle: false }, lr)
-            .with_schedule(opts.schedule);
+/// `chunk` at a constant learning rate, patience-3 early stopping on the
+/// validation q-error (skipped when there is no validation split,
+/// matching the legacy trainers).
+fn estimator_config(epochs: usize, chunk: usize, lr: f32, has_valid: bool) -> TrainerConfig {
+    let mut config = TrainerConfig::new(Plan::Epochs { epochs, chunk, shuffle: false }, lr);
     if has_valid {
         config.patience = Some(3);
     }
@@ -258,28 +219,15 @@ pub fn train_mscn<'a>(
     epochs: usize,
     seed: u64,
 ) -> MscnPredictor<'a> {
-    train_mscn_with(db, sampler, train, valid, target, FineTuneOptions::new(epochs, seed))
-}
-
-/// [`train_mscn`] with the full fine-tune option surface (LR schedule).
-pub fn train_mscn_with<'a>(
-    db: &'a Database,
-    sampler: Option<&'a BitmapSampler>,
-    train: &[LabeledQuery],
-    valid: &[LabeledQuery],
-    target: Target,
-    opts: FineTuneOptions,
-) -> MscnPredictor<'a> {
-    obs::counter_add(obs::Metric::EstTrainRuns, 1);
-    let _span = obs::span("est.train").field("method", "mscn").field("epochs", opts.epochs);
+    let _span = obs::span("est.train").field("method", "mscn").field("epochs", epochs);
     let bits = sampler.map_or(0, BitmapSampler::sample_size);
     let featurizer = MscnFeaturizer::new(db, bits);
-    let mut rng = StdRng::seed_from_u64(opts.seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     let model = MscnModel::new(&featurizer, 32, &mut rng);
     let norm = Normalizer::fit(&train.iter().map(|l| target.log_truth(l)).collect::<Vec<_>>());
     let feats: Vec<_> = train.iter().map(|l| featurizer.featurize(db, &l.query, sampler)).collect();
     let targets: Vec<f32> = train.iter().map(|l| norm.encode(target.log_truth(l))).collect();
-    let config = estimator_config(opts, 16, 1e-3, !valid.is_empty());
+    let config = estimator_config(epochs, 16, 1e-3, !valid.is_empty());
     // Scoped so the task's borrows of the model end before it is moved
     // into the predictor.
     let report = {
@@ -299,8 +247,7 @@ pub fn train_mscn_with<'a>(
                 target,
                 valid,
             )
-        })
-        .with_on_early_stop(|| obs::counter_add(obs::Metric::EstEarlyStops, 1));
+        });
         Trainer::new(config).fit(&mut task, &mut rng)
     };
     let history = report.val_history();
@@ -360,20 +307,7 @@ pub fn train_lstm<'a>(
     epochs: usize,
     seed: u64,
 ) -> LstmPredictor<'a> {
-    train_lstm_with(db, sampler, train, valid, target, FineTuneOptions::new(epochs, seed))
-}
-
-/// [`train_lstm`] with the full fine-tune option surface (LR schedule).
-pub fn train_lstm_with<'a>(
-    db: &'a Database,
-    sampler: Option<&'a BitmapSampler>,
-    train: &[LabeledQuery],
-    valid: &[LabeledQuery],
-    target: Target,
-    opts: FineTuneOptions,
-) -> LstmPredictor<'a> {
-    obs::counter_add(obs::Metric::EstTrainRuns, 1);
-    let _span = obs::span("est.train").field("method", "lstm").field("epochs", opts.epochs);
+    let _span = obs::span("est.train").field("method", "lstm").field("epochs", epochs);
     let corpus: Vec<Query> = train.iter().map(|l| l.query.clone()).collect();
     let vocab = LstmVocab::build(&corpus);
     // The LSTM baseline's form of the bitmap trick (§4.3.2): the raw
@@ -385,7 +319,7 @@ pub fn train_lstm_with<'a>(
     let bitmap_dim = sampler.map_or(0, BitmapSampler::sample_size) + plan_dim;
     let table_stats = TableStats::analyze(db);
     let cost_model = CostModel::default();
-    let mut rng = StdRng::seed_from_u64(opts.seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     let model = LstmEstimator::new(&vocab, 24, 32, bitmap_dim, &mut rng);
     let norm = Normalizer::fit(&train.iter().map(|l| target.log_truth(l)).collect::<Vec<_>>());
     let encoded: Vec<_> = train
@@ -405,7 +339,7 @@ pub fn train_lstm_with<'a>(
             (ids, nums, channel, bitmap, norm.encode(target.log_truth(l)))
         })
         .collect();
-    let config = estimator_config(opts, 8, 1e-3, !valid.is_empty());
+    let config = estimator_config(epochs, 8, 1e-3, !valid.is_empty());
     // Scoped so the task's borrows of the model end before it is moved
     // into the predictor.
     let report = {
@@ -438,8 +372,7 @@ pub fn train_lstm_with<'a>(
                 target,
                 valid,
             )
-        })
-        .with_on_early_stop(|| obs::counter_add(obs::Metric::EstEarlyStops, 1));
+        });
         Trainer::new(config).fit(&mut task, &mut rng)
     };
     let history = report.val_history();
@@ -625,32 +558,7 @@ pub fn train_preqr<'a>(
     seed: u64,
     label: &str,
 ) -> PreqrPredictor<'a> {
-    train_preqr_with(
-        db,
-        model,
-        sampler,
-        train,
-        valid,
-        target,
-        FineTuneOptions::new(epochs, seed),
-        label,
-    )
-}
-
-/// [`train_preqr`] with the full fine-tune option surface (LR schedule).
-#[allow(clippy::too_many_arguments)]
-pub fn train_preqr_with<'a>(
-    db: &'a Database,
-    model: &'a SqlBert,
-    sampler: Option<&'a BitmapSampler>,
-    train: &[LabeledQuery],
-    valid: &[LabeledQuery],
-    target: Target,
-    opts: FineTuneOptions,
-    label: &str,
-) -> PreqrPredictor<'a> {
-    obs::counter_add(obs::Metric::EstTrainRuns, 1);
-    let _span = obs::span("est.train").field("method", label).field("epochs", opts.epochs);
+    let _span = obs::span("est.train").field("method", label).field("epochs", epochs);
     let nodes = model.cached_nodes();
     // The shared model's last layer is trained here but restored before
     // returning, so successive fine-tunings all start from the same
@@ -661,7 +569,7 @@ pub fn train_preqr_with<'a>(
     let in_dim = 2 * model.config.output_dim() + bitmap_dim;
     let table_stats = TableStats::analyze(db);
     let cost_model = CostModel::default();
-    let mut rng = StdRng::seed_from_u64(opts.seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     let head = Mlp::new(&[in_dim, 64, 32, 1], &mut rng);
     let norm = Normalizer::fit(&train.iter().map(|l| target.log_truth(l)).collect::<Vec<_>>());
     // Cache the frozen lower-layer states and bitmaps once.
@@ -682,7 +590,7 @@ pub fn train_preqr_with<'a>(
         let reps = model.last_layer_encode(lower, nodes.as_ref());
         head.forward(&preqr_features(&reps, bits, bitmap_dim))
     };
-    let config = estimator_config(opts, 8, 5e-4, !valid.is_empty());
+    let config = estimator_config(epochs, 8, 5e-4, !valid.is_empty());
     // Scoped so the task's borrows of the head/nodes end before they are
     // moved into the predictor.
     let report = {
@@ -707,8 +615,7 @@ pub fn train_preqr_with<'a>(
                 target,
                 valid,
             )
-        })
-        .with_on_early_stop(|| obs::counter_add(obs::Metric::EstEarlyStops, 1));
+        });
         Trainer::new(config).fit(&mut task, &mut rng)
     };
     let history = report.val_history();

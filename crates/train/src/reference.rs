@@ -106,7 +106,6 @@ fn run_epochs(
             } else {
                 patience += 1;
                 if patience >= max_patience {
-                    task.on_early_stop();
                     early_stopped = true;
                     break;
                 }

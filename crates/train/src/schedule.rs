@@ -16,11 +16,6 @@ pub enum Schedule {
         /// Step at which the rate reaches zero.
         total_steps: u64,
     },
-    /// Half-cosine decay from the base rate to zero over `total_steps`.
-    Cosine {
-        /// Step at which the rate reaches zero.
-        total_steps: u64,
-    },
 }
 
 impl Schedule {
@@ -30,10 +25,6 @@ impl Schedule {
             Schedule::Constant => base_lr,
             Schedule::WarmupLinear { warmup_steps, total_steps } => {
                 WarmupLinearSchedule::new(base_lr, warmup_steps, total_steps).lr_at(step)
-            }
-            Schedule::Cosine { total_steps } => {
-                let frac = (step as f32 / total_steps.max(1) as f32).min(1.0);
-                base_lr * 0.5 * (1.0 + (std::f32::consts::PI * frac).cos())
             }
         }
     }
@@ -75,20 +66,6 @@ mod tests {
         for step in 0..100 {
             assert_eq!(s.lr_at(0.02, step).to_bits(), nn.lr_at(step).to_bits(), "step {step}");
         }
-    }
-
-    #[test]
-    fn cosine_decays_monotonically_to_zero() {
-        let s = Schedule::Cosine { total_steps: 50 };
-        assert_eq!(s.lr_at(1.0, 0), 1.0);
-        let mut prev = f32::INFINITY;
-        for step in 0..=50 {
-            let lr = s.lr_at(1.0, step);
-            assert!(lr <= prev, "cosine must not increase: step {step}");
-            prev = lr;
-        }
-        assert!(s.lr_at(1.0, 50).abs() < 1e-6);
-        assert!(s.lr_at(1.0, 500).abs() < 1e-6, "past the horizon the rate stays zero");
     }
 
     #[test]

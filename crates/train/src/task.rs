@@ -71,9 +71,6 @@ pub trait TrainTask {
     /// Called once per completed epoch with its statistics (e.g. to bump
     /// task-specific counters).
     fn epoch_end(&mut self, _stats: &EpochStats) {}
-
-    /// Called when validation early stopping ends the run.
-    fn on_early_stop(&mut self) {}
 }
 
 type StepFn<'a> = Box<dyn FnMut(usize, &mut StdRng) -> StepOutput + 'a>;
@@ -93,7 +90,6 @@ pub struct FnTask<'a> {
     post_step: Option<HookFn<'a>>,
     eval: Option<EvalFn<'a>>,
     epoch_end: Option<EpochEndFn<'a>>,
-    on_early_stop: Option<HookFn<'a>>,
 }
 
 impl<'a> FnTask<'a> {
@@ -114,7 +110,6 @@ impl<'a> FnTask<'a> {
             post_step: None,
             eval: None,
             epoch_end: None,
-            on_early_stop: None,
         }
     }
 
@@ -139,12 +134,6 @@ impl<'a> FnTask<'a> {
     /// Installs an epoch-end hook.
     pub fn with_epoch_end(mut self, f: impl FnMut(&EpochStats) + 'a) -> Self {
         self.epoch_end = Some(Box::new(f));
-        self
-    }
-
-    /// Installs an early-stop hook.
-    pub fn with_on_early_stop(mut self, f: impl FnMut() + 'a) -> Self {
-        self.on_early_stop = Some(Box::new(f));
         self
     }
 }
@@ -185,12 +174,6 @@ impl TrainTask for FnTask<'_> {
     fn epoch_end(&mut self, stats: &EpochStats) {
         if let Some(f) = self.epoch_end.as_mut() {
             f(stats);
-        }
-    }
-
-    fn on_early_stop(&mut self) {
-        if let Some(f) = self.on_early_stop.as_mut() {
-            f();
         }
     }
 }

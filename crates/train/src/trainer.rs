@@ -81,21 +81,9 @@ impl TrainerConfig {
         self
     }
 
-    /// Enables validation early stopping with the given patience.
-    pub fn with_patience(mut self, patience: usize) -> Self {
-        self.patience = Some(patience);
-        self
-    }
-
     /// Enables periodic checkpointing.
     pub fn with_checkpoint(mut self, checkpoint: CheckpointConfig) -> Self {
         self.checkpoint = Some(checkpoint);
-        self
-    }
-
-    /// Halts the run once the global step counter reaches `steps`.
-    pub fn with_halt_after(mut self, steps: u64) -> Self {
-        self.halt_after_steps = Some(steps);
         self
     }
 }
@@ -363,7 +351,6 @@ impl Trainer {
                     patience_count += 1;
                     if patience_count >= patience {
                         obs::counter_add(obs::Metric::TrainEarlyStops, 1);
-                        task.on_early_stop();
                         early_stopped = true;
                         stop = true;
                     }

@@ -1,11 +1,12 @@
 #!/bin/bash
-# Builds the workspace's library crates with bare rustc, without cargo, into
-# one directory of rlibs named by their extern names (`librand.rlib`,
-# `libpreqr_nn.rlib`, ...). The benchmark needs it: `perfbench/build.sh` (and
-# so `perfbench/run.py`) builds its binary against these rlibs. For
-# everything else use cargo (`cargo build --release && cargo test -q`).
+# Builds the library crates the benchmark links, and their dependencies,
+# with bare rustc, without cargo, into one directory of rlibs named by their
+# extern names (`librand.rlib`, `libpreqr_nn.rlib`, ...). `perfbench/build.sh`
+# (and so `perfbench/run.py`) builds its binary against these rlibs.
+# `preqr-bench` and the facade are not built here; for them and everything
+# else use cargo (`cargo build --release && cargo test -q`).
 # Usage:
-#   scripts/offline_build.sh [-O]     # build all rlibs (+facade)
+#   scripts/offline_build.sh [-O]     # build the benchmark's rlibs
 # Env: OUT=/tmp/preqr-offline/out (default; -O appends "-O")
 set -e
 OPT=""
@@ -40,6 +41,4 @@ lib preqr       "$REPO/crates/core/src/lib.rs" $RAND $(X preqr_nn) $(X preqr_tra
 lib preqr_baselines "$REPO/crates/baselines/src/lib.rs" $RAND $(X preqr_nn) $(X preqr_train) $(X preqr_sql) $(X preqr_schema) $(X preqr_engine)
 lib preqr_tasks "$REPO/crates/tasks/src/lib.rs" $RAND $(X preqr_nn) $(X preqr_train) $(X preqr_sql) $(X preqr_automaton) $(X preqr_schema) $(X preqr_engine) $(X preqr_data) $(X preqr) $(X preqr_baselines) $OBS
 lib preqr_serve "$REPO/crates/serve/src/lib.rs" $(X preqr_nn) $(X preqr_sql) $(X preqr_schema) $(X preqr) $OBS
-lib preqr_bench "$REPO/crates/bench/src/lib.rs" $RAND $(X preqr_nn) $(X preqr_train) $(X preqr_sql) $(X preqr_automaton) $(X preqr_schema) $(X preqr_engine) $(X preqr_data) $(X preqr) $(X preqr_baselines) $(X preqr_tasks) $OBS
-lib preqr_repro "$REPO/src/lib.rs" $RAND $OBS $(X preqr_nn) $(X preqr_train) $(X preqr_sql) $(X preqr_automaton) $(X preqr_schema) $(X preqr_engine) $(X preqr_data) $(X preqr) $(X preqr_baselines) $(X preqr_tasks) $(X preqr_serve)
 echo "[build] done -> $OUT"

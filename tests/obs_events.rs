@@ -82,9 +82,6 @@ fn traced_pretrain_event_stream_is_exact_and_thread_invariant() {
     for ((_, snap, losses), &t) in runs.iter().zip(&widths).skip(1) {
         assert_eq!(losses, base_losses, "loss trajectory diverged at {t} threads");
         for name in [
-            "pretrain.epochs",
-            "pretrain.samples",
-            "pretrain.steps",
             "pretrain.masked_tokens",
             "pretrain.correct_tokens",
             "train.runs",
@@ -107,10 +104,10 @@ fn traced_pretrain_event_stream_is_exact_and_thread_invariant() {
         assert_eq!(mm(snap), mm(base), "matmul timer count at {t} threads");
     }
     let (_, snap, _) = &runs[0];
-    assert_eq!(snap.counter("pretrain.epochs"), Some(EPOCHS as u64));
     assert_eq!(snap.counter("train.runs"), Some(1));
     assert_eq!(snap.counter("train.epochs"), Some(EPOCHS as u64));
-    assert!(snap.counter("pretrain.samples").unwrap() > 0);
+    assert_eq!(snap.hist("train.epoch_loss").unwrap().count, EPOCHS as u64);
+    assert!(snap.counter("train.samples").unwrap() > 0);
     assert!(snap.counter("nn.matmul.calls").unwrap() > 0);
 }
 
@@ -170,8 +167,12 @@ fn traced_finetune_event_stream_is_exact_and_thread_invariant() {
             Some(FT_EPOCHS as u64),
             "train.epochs at {t} threads"
         );
-        assert_eq!(snap.counter("est.train_runs"), Some(1));
-        for name in ["train.steps", "train.samples", "est.epochs"] {
+        assert_eq!(
+            snap.hist("train.val_metric").unwrap().count,
+            FT_EPOCHS as u64,
+            "one validation q-error per epoch at {t} threads"
+        );
+        for name in ["train.steps", "train.samples"] {
             assert_eq!(snap.counter(name), base.counter(name), "{name} at {t} threads");
         }
         assert_eq!(events.len(), base_events.len(), "event stream length at {t} threads");
