@@ -104,7 +104,6 @@ fn bench(shards: usize) -> (f64, ServeStats) {
     let config = ServeConfig {
         shards,
         max_batch: 8,
-        batch_timeout: 2,
         queue_capacity: (REQUESTS + SHARD_COUNTS[SHARD_COUNTS.len() - 1]) * shards,
         cache_capacity: 2 * REQUESTS, // misses come from distinct templates, not evictions
     };

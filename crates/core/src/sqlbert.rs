@@ -406,24 +406,6 @@ impl SqlBert {
         self.encode(q).row(0).to_vec()
     }
 
-    /// Fine-tuning forward: the lower layers and schema module run
-    /// detached (frozen); only the *last* `Trm_g` layer runs with
-    /// gradients — the paper fine-tunes "the last layer of SQLBERT
-    /// together with the SOTA model".
-    pub fn encode_finetune(
-        &self,
-        pq: &PreparedQuery,
-        frozen_nodes: &Option<Tensor>,
-        rng: &mut StdRng,
-    ) -> Tensor {
-        let mut x = self.input.forward(pq, false, rng).detach();
-        let (last, lower) = self.layers.split_last().expect("at least one layer");
-        for layer in lower {
-            x = layer.forward(&x, frozen_nodes.as_ref()).merged.detach();
-        }
-        final_rep(last.forward(&x, frozen_nodes.as_ref()))
-    }
-
     /// Interpretability: the first layer's query→schema attention
     /// weights for a query, with vertex display names. Returns `None`
     /// when the schema module is disabled. Shape is `n_tokens × |V|`.
@@ -716,11 +698,13 @@ mod tests {
 
     #[test]
     fn finetune_gradients_touch_only_last_layer() {
+        // The path estimation fine-tuning runs: frozen lower states, then
+        // the last layer with gradients, both over the cached node states.
         let m = model();
         let pq = m.prepare(&corpus()[0]);
         let nodes = m.cached_nodes();
-        let mut rng = StdRng::seed_from_u64(7);
-        let reps = m.encode_finetune(&pq, &nodes, &mut rng);
+        let lower = m.lower_states(&pq, nodes.as_ref());
+        let reps = m.last_layer_encode(&lower, nodes.as_ref());
         ops::sum_all(&reps).backward();
         // Every last-layer parameter except the inter-layer merge (which
         // Eq. 8 bypasses at the last layer) must receive gradients.

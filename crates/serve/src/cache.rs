@@ -81,13 +81,6 @@ impl<V> LruCache<V> {
         self.counters
     }
 
-    /// Whether `key` is cached, *without* counting a lookup or touching
-    /// recency. Used by the batch scheduler to plan work; the replay pass
-    /// performs the counted [`LruCache::get`].
-    pub fn peek(&self, key: &str) -> bool {
-        self.map.contains_key(key)
-    }
-
     /// Counted lookup: on hit the entry moves to the front of the
     /// recency order and its value is returned.
     pub fn get(&mut self, key: &str) -> Option<&V> {

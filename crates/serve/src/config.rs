@@ -8,13 +8,11 @@
 /// slot or cache entry per shard.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
-    /// Most requests one micro-batch may carry (min 1).
+    /// Most requests a shard drains from its queue at once (min 1). A
+    /// shard never waits to fill a batch; draining frees queue slots, so
+    /// a shard holds at most `max_batch` accepted requests beyond its
+    /// queue slice.
     pub max_batch: usize,
-    /// Logical ticks the oldest queued request may wait before a partial
-    /// batch closes (see [`crate::clock::LogicalClock`]). 0 closes every
-    /// batch as soon as any work is available. Each shard keeps its own
-    /// clock, so one shard's traffic never ages another shard's batches.
-    pub batch_timeout: u64,
     /// Global bounded-admission budget: each shard's queue holds at most
     /// [`ServeConfig::shard_queue_capacity`] requests, and a submission
     /// is rejected with `QueueFull` when its *target* shard is full.
@@ -31,13 +29,7 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        ServeConfig {
-            max_batch: 16,
-            batch_timeout: 2,
-            queue_capacity: 256,
-            cache_capacity: 1024,
-            shards: 1,
-        }
+        ServeConfig { max_batch: 16, queue_capacity: 256, cache_capacity: 1024, shards: 1 }
     }
 }
 
@@ -58,12 +50,6 @@ impl ServeConfig {
     /// ceiling division; 0 stays 0 (cache disabled on every shard).
     pub fn shard_cache_capacity(&self) -> usize {
         self.cache_capacity.div_ceil(self.shards.max(1))
-    }
-
-    /// Shard-count override from `PREQR_SERVE_SHARDS` (used by the CI
-    /// shard matrix and the scaling bench); `None` when unset or invalid.
-    pub fn shards_from_env() -> Option<usize> {
-        std::env::var("PREQR_SERVE_SHARDS").ok()?.trim().parse().ok().filter(|&n| n >= 1)
     }
 }
 

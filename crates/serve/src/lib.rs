@@ -8,13 +8,14 @@
 //!   template text ([`router`]). One template's cache entry and
 //!   counters live on exactly one shard, which is what keeps sharded
 //!   serving deterministic (see [`service`]).
-//! * **Dynamic micro-batching** — each shard queues requests into
-//!   micro-batches of up to `max_batch`; a partial batch closes after
-//!   `batch_timeout` ticks of that shard's [`clock::LogicalClock`], so
-//!   wall-time influences only batch *boundaries*, never responses.
-//! * **Tape-free batched encoding** — forwards run under
-//!   `preqr_nn::no_grad`, skipping autograd bookkeeping while staying
-//!   bit-identical to the training-mode eval forward.
+//! * **Greedy batching** — each shard's worker sleeps until work is
+//!   queued, then drains up to `max_batch` requests at once and serves
+//!   them in one FIFO pass, resolving each ticket as soon as it is
+//!   served. Batch boundaries never change a response.
+//! * **Tape-free encoding** — each cache miss runs one
+//!   `SqlBert::encode` under `preqr_nn::no_grad`, skipping autograd
+//!   bookkeeping while staying bit-identical to the training-mode eval
+//!   forward.
 //! * **Template cache** — an exact-counter LRU ([`cache::LruCache`])
 //!   keyed on [`preqr_sql::normalize::template_text`], split into
 //!   per-shard slices, so queries differing only in
@@ -43,14 +44,12 @@
 //! ```
 
 pub mod cache;
-pub mod clock;
 pub mod config;
 pub mod router;
 pub mod service;
 mod shard;
 
 pub use cache::{CacheCounters, LruCache};
-pub use clock::LogicalClock;
 pub use config::ServeConfig;
 pub use router::{affinity_hash, route};
 pub use service::{Embedding, RejectReason, ServeError, ServeResult, ServeStats, Service, Ticket};

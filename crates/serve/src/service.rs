@@ -1,6 +1,7 @@
 //! The inference service: parse + route at admission → per-shard bounded
-//! queue → micro-batcher → batched tape-free encoder → per-shard template
-//! cache slice, on `shards` dedicated worker threads.
+//! queue → greedy batch drain → one FIFO pass over the per-shard template
+//! cache slice and the tape-free encoder, on `shards` dedicated worker
+//! threads.
 //!
 //! # Determinism contract
 //!
@@ -8,22 +9,23 @@
 //! shard count:
 //!
 //! * Embeddings are bit-identical no matter how requests land in
-//!   micro-batches or shards, because `SqlBert::encode_batch` is
-//!   batch-invariant and every shard replays cache operations strictly
-//!   in its FIFO order.
+//!   batches, because every shard serves its queue strictly in FIFO
+//!   order, one request at a time, and `SqlBert::encode` depends on the
+//!   query alone.
 //! * Requests are routed by a fixed hash of their normalized template
 //!   ([`crate::router`]), so one template's cache entry and counters
 //!   live on exactly one shard. Absent capacity pressure (no
 //!   evictions), per-template hit/miss counts are therefore identical
-//!   across shard counts; under eviction pressure they may differ
-//!   (shard slices evict independently) while embeddings stay
-//!   bit-identical.
+//!   across shard counts, and so are embeddings. Under eviction pressure
+//!   the shard slices evict independently, so counters may differ, and
+//!   so may the embedding a literal-variant hit serves (a hit serves
+//!   its template's most recent miss); exact repeats stay bit-identical.
 //! * Every processed request emits exactly one `serve.request` span
 //!   (carrying its shard index), so traced event counts depend on the
-//!   request script, never on `max_batch`, `batch_timeout`, `shards`,
-//!   worker-pool width, or timing. Batch and shard geometry surface
-//!   only through counters and histograms, whose *flush* cost is fixed
-//!   by the closed `preqr-obs` registry.
+//!   request script, never on `max_batch`, `shards`, worker-pool width,
+//!   or timing. Batch and shard geometry surface only through counters
+//!   and histograms, whose *flush* cost is fixed by the closed
+//!   `preqr-obs` registry.
 //!
 //! # Failure behavior
 //!
@@ -139,11 +141,6 @@ impl Ticket {
             slot = self.0.cv.wait(slot).unwrap_or_else(|e| e.into_inner());
         }
     }
-
-    /// Non-blocking poll; `None` while the request is still in flight.
-    pub fn try_take(&self) -> Option<ServeResult> {
-        self.0.slot.lock().unwrap_or_else(|e| e.into_inner()).take()
-    }
 }
 
 pub(crate) fn resolve(ticket: &Arc<TicketState>, result: ServeResult) {
@@ -171,7 +168,7 @@ pub struct ServeStats {
     pub processed: u64,
     /// Requests that failed SQL parsing.
     pub parse_errors: u64,
-    /// Micro-batches drained across all shards.
+    /// Batches drained across all shards.
     pub batches: u64,
     /// Encoder forward passes actually run.
     pub encoded: u64,
@@ -229,11 +226,6 @@ impl Service {
         Service { shared, workers, config }
     }
 
-    /// The (normalized) configuration the service runs with.
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
-    }
-
     /// Submits one SQL text for encoding. The request is parsed and
     /// routed here, on the submitting thread: its normalized template
     /// picks the owning shard ([`crate::router::route`]); text that
@@ -273,9 +265,8 @@ impl Service {
         }
         self.shared.accepted.fetch_add(1, Ordering::Relaxed);
         obs::counter_add(obs::Metric::ServeRequests, 1);
-        let enqueued_at = shard.clock.tick();
         let ticket = Arc::new(TicketState { slot: Mutex::new(None), cv: Condvar::new() });
-        q.items.push_back(Pending { payload, ticket: Arc::clone(&ticket), enqueued_at });
+        q.items.push_back(Pending { payload, ticket: Arc::clone(&ticket) });
         drop(q);
         shard.cv.notify_one();
         Ok(Ticket(ticket))
@@ -284,17 +275,6 @@ impl Service {
     /// Convenience: submit and block for the response.
     pub fn encode_blocking(&self, sql: &str) -> ServeResult {
         self.submit(sql)?.wait()
-    }
-
-    /// Total queue depth across shards (in-flight requests not yet
-    /// drained).
-    pub fn queue_depth(&self) -> usize {
-        self.shard_queue_depths().iter().sum()
-    }
-
-    /// Per-shard queue depths, indexed by shard.
-    pub fn shard_queue_depths(&self) -> Vec<usize> {
-        self.shared.shards.iter().map(|s| s.lock().items.len()).collect()
     }
 
     /// Stops admission on every shard without blocking: subsequent

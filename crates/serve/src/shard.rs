@@ -1,17 +1,16 @@
-//! One worker shard: a bounded queue, a logical clock, a micro-batcher,
-//! and a slice of the template cache, all owned by a dedicated thread.
+//! One worker shard: a bounded queue, a greedy batch collector, and a
+//! slice of the template cache, all owned by a dedicated thread.
 //!
 //! The sharded service is N copies of the original single-worker
 //! pipeline glued together by [`crate::router`]: admission parses and
 //! normalizes the request, routes it by template hash, and the owning
-//! shard runs the exact schedule → prefetch → FIFO-replay loop the
-//! unsharded worker ran. Shards share nothing mutable — each has its own
-//! queue mutex, condvar, clock, cache slice, and counters — so a panic,
-//! a stall, or queue pressure on one shard never touches another.
+//! shard drains whatever is queued (up to `max_batch`) and serves it in
+//! one FIFO pass. Shards share nothing mutable — each has its own queue
+//! mutex, condvar, cache slice, and counters — so a panic, a stall, or
+//! queue pressure on one shard never touches another.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
 
 use preqr::SqlBert;
 use preqr_nn::Matrix;
@@ -19,7 +18,6 @@ use preqr_obs as obs;
 use preqr_sql::ast::Query;
 
 use crate::cache::LruCache;
-use crate::clock::LogicalClock;
 use crate::config::ServeConfig;
 use crate::service::{resolve, Embedding, ServeError, TicketState};
 
@@ -40,7 +38,6 @@ pub(crate) enum Payload {
 pub(crate) struct Pending {
     pub(crate) payload: Payload,
     pub(crate) ticket: Arc<TicketState>,
-    pub(crate) enqueued_at: u64,
 }
 
 #[derive(Default)]
@@ -51,20 +48,15 @@ pub(crate) struct QueueState {
 }
 
 /// One shard's cross-thread state. Everything here is per-shard: two
-/// shards never contend on a lock or share a clock.
+/// shards never contend on a lock.
 pub(crate) struct ShardState {
     pub(crate) queue: Mutex<QueueState>,
     pub(crate) cv: Condvar,
-    pub(crate) clock: LogicalClock,
 }
 
 impl ShardState {
     pub(crate) fn new() -> ShardState {
-        ShardState {
-            queue: Mutex::new(QueueState::default()),
-            cv: Condvar::new(),
-            clock: LogicalClock::new(),
-        }
+        ShardState { queue: Mutex::new(QueueState::default()), cv: Condvar::new() }
     }
 
     pub(crate) fn lock(&self) -> MutexGuard<'_, QueueState> {
@@ -84,7 +76,7 @@ pub struct ShardStats {
     pub processed: u64,
     /// Requests that failed SQL parsing.
     pub parse_errors: u64,
-    /// Micro-batches this shard drained.
+    /// Batches this shard drained.
     pub batches: u64,
     /// Encoder forward passes this shard ran.
     pub encoded: u64,
@@ -120,8 +112,8 @@ impl Drop for PanicGuard<'_> {
     }
 }
 
-/// The shard worker loop: build a model replica, then drain micro-batches
-/// until the service shuts down.
+/// The shard worker loop: build a model replica, then drain and serve
+/// batches until the service shuts down.
 pub(crate) fn worker_main<F: Fn(usize) -> SqlBert>(
     shard: &ShardState,
     idx: usize,
@@ -130,15 +122,17 @@ pub(crate) fn worker_main<F: Fn(usize) -> SqlBert>(
 ) -> ShardStats {
     let mut guard = PanicGuard { shard, armed: true };
     let model = factory(idx);
-    let mut cache: LruCache<Matrix> = LruCache::new(config.shard_cache_capacity());
+    // Cache-off is no cache at all: no counted lookups, counters (0, 0, 0).
+    let capacity = config.shard_cache_capacity();
+    let mut cache = (capacity > 0).then(|| LruCache::<Matrix>::new(capacity));
     let mut stats = ShardStats { shard: idx, ..ShardStats::default() };
     while let Some(batch) = collect_batch(shard, config) {
         stats.batches += 1;
         obs::counter_add(obs::Metric::ServeBatches, 1);
         obs::record_hist(obs::HistMetric::ServeBatchSize, batch.len() as f64);
-        process_batch(&model, &mut cache, batch, idx, config, &mut stats);
+        serve_batch(&model, cache.as_mut(), batch, idx, &mut stats);
     }
-    let c = cache.counters();
+    let c = cache.map(|c| c.counters()).unwrap_or_default();
     stats.cache_hits = c.hits;
     stats.cache_misses = c.misses;
     stats.cache_evictions = c.evictions;
@@ -146,156 +140,91 @@ pub(crate) fn worker_main<F: Fn(usize) -> SqlBert>(
     stats
 }
 
-/// How long the collector sleeps per logical tick while a partial batch
-/// waits for company. Pure liveness pacing: results never depend on it.
-const TICK_WAIT: Duration = Duration::from_micros(200);
-
-/// Blocks until a micro-batch is ready on this shard; `None` once the
-/// service is draining and this shard's queue is empty (worker exit).
+/// Blocks until this shard has queued work, then drains up to
+/// `max_batch` requests at once; `None` once the service is draining and
+/// this shard's queue is empty (worker exit).
 fn collect_batch(shard: &ShardState, config: &ServeConfig) -> Option<Vec<Pending>> {
     let mut q = shard.lock();
-    loop {
-        let full = q.items.len() >= config.max_batch;
-        let timed_out = q.items.front().is_some_and(|oldest| {
-            shard.clock.now().saturating_sub(oldest.enqueued_at) >= config.batch_timeout
-        });
-        if full || (q.draining && !q.items.is_empty()) || timed_out {
-            break;
-        }
-        if q.draining && q.items.is_empty() {
+    while q.items.is_empty() {
+        if q.draining {
             return None;
         }
-        let (guard, _) = shard.cv.wait_timeout(q, TICK_WAIT).unwrap_or_else(|e| e.into_inner());
-        q = guard;
-        if !q.items.is_empty() {
-            shard.clock.tick();
-        }
+        q = shard.cv.wait(q).unwrap_or_else(|e| e.into_inner());
     }
     obs::record_hist(obs::HistMetric::ServeQueueDepth, q.items.len() as f64);
     let n = q.items.len().min(config.max_batch);
     Some(q.items.drain(..n).collect())
 }
 
-/// Per-request plan produced by the scheduling pass.
-enum Plan {
-    /// Parsing failed at admission; resolve with the structured error.
-    Malformed { position: usize, message: String },
-    /// Cache-on: replay a counted lookup; `prefetch` indexes the batched
-    /// forward when this request is the first occurrence of its template.
-    Lookup { template: String, query: Box<Query>, prefetch: Option<usize> },
-    /// Cache-off: take the batched forward's output directly.
-    Direct { idx: usize },
-}
-
-/// Schedules, prefetches, and replays one micro-batch on one shard.
+/// Serves one drained batch in this shard's FIFO order, resolving each
+/// ticket as soon as its request is served.
 ///
-/// The replay pass executes the exact lookup → encode → insert sequence
-/// a batch-of-one service would, in this shard's FIFO order; the batched
-/// forward in the middle is only a prefetch of the misses the scheduler
-/// predicted. When a prediction goes stale (a tiny cache slice can evict
-/// a predicted hit mid-replay), the replay falls back to a solo forward —
-/// behavior and counters stay identical to unbatched serving. Because
-/// routing is by template, a template's entire counted-operation sequence
-/// lives on one shard, in that shard's submission order.
-fn process_batch(
+/// Each parseable request runs the exact lookup → encode → insert
+/// sequence a batch-of-one service would, so counters, recency order and
+/// embeddings never depend on `max_batch`. Because routing is by
+/// template, a template's entire counted-operation sequence lives on one
+/// shard, in that shard's submission order.
+fn serve_batch(
     model: &SqlBert,
-    cache: &mut LruCache<Matrix>,
+    mut cache: Option<&mut LruCache<Matrix>>,
     batch: Vec<Pending>,
     shard_idx: usize,
-    config: &ServeConfig,
     stats: &mut ShardStats,
 ) {
-    let cache_on = config.shard_cache_capacity() > 0;
-    // Pass 1: schedule. Uncounted peeks only — the cache is not touched.
-    let mut scheduled: HashMap<String, usize> = HashMap::new();
-    let mut to_encode: Vec<Query> = Vec::new();
-    let pairs: Vec<(Arc<TicketState>, Plan)> = batch
-        .into_iter()
-        .map(|p| {
-            let plan = match p.payload {
-                Payload::Malformed { position, message } => Plan::Malformed { position, message },
-                Payload::Query { query, template } => {
-                    if !cache_on {
-                        to_encode.push(*query);
-                        Plan::Direct { idx: to_encode.len() - 1 }
-                    } else {
-                        let prefetch = if cache.peek(&template) || scheduled.contains_key(&template)
-                        {
-                            None
-                        } else {
-                            to_encode.push(Query::clone(&query));
-                            scheduled.insert(template.clone(), to_encode.len() - 1);
-                            Some(to_encode.len() - 1)
-                        };
-                        Plan::Lookup { template, query, prefetch }
-                    }
-                }
-            };
-            (p.ticket, plan)
-        })
-        .collect();
-
-    // Pass 2: one batched, tape-free forward over the predicted misses.
-    let mut encoded: Vec<Option<Matrix>> = {
-        let _t = obs::timer(obs::HistMetric::ServeEncodeUs);
-        model.encode_batch(&to_encode).into_iter().map(Some).collect()
-    };
-    stats.encoded += encoded.len() as u64;
-    obs::counter_add(obs::Metric::ServeEncoded, encoded.len() as u64);
-
-    // Pass 3: FIFO replay — the sequence of cache operations (and hence
-    // hit/miss/eviction counters and recency order) matches unbatched
-    // serving exactly.
-    for (ticket, plan) in pairs {
+    for p in batch {
         let mut span = obs::span("serve.request");
         span.add_field("shard", shard_idx as u64);
         stats.processed += 1;
-        match plan {
-            Plan::Malformed { position, message } => {
+        let result = match p.payload {
+            Payload::Malformed { position, message } => {
                 span.add_field("outcome", "parse_error");
                 stats.parse_errors += 1;
                 obs::counter_add(obs::Metric::ServeParseErrors, 1);
-                resolve(&ticket, Err(ServeError::Malformed { position, message }));
+                Err(ServeError::Malformed { position, message })
             }
-            Plan::Direct { idx } => {
+            Payload::Query { query, template } => {
                 span.add_field("outcome", "ok");
-                span.add_field("cached", 0u64);
-                let matrix = encoded[idx].take().expect("direct prefetch consumed once");
-                resolve(&ticket, Ok(Embedding { matrix, cache_hit: false }));
+                let e = serve_query(model, cache.as_deref_mut(), &query, template, stats);
+                span.add_field("cached", u64::from(e.cache_hit));
+                Ok(e)
             }
-            Plan::Lookup { template, query, prefetch } => {
-                span.add_field("outcome", "ok");
-                if let Some(hit) = cache.get(&template) {
-                    span.add_field("cached", 1u64);
-                    obs::counter_add(obs::Metric::ServeCacheHits, 1);
-                    let matrix = hit.clone();
-                    resolve(&ticket, Ok(Embedding { matrix, cache_hit: true }));
-                } else {
-                    span.add_field("cached", 0u64);
-                    obs::counter_add(obs::Metric::ServeCacheMisses, 1);
-                    let matrix = match prefetch.and_then(|i| encoded[i].take()) {
-                        Some(m) => m,
-                        None => {
-                            // Stale prediction: a mid-replay eviction (or a
-                            // template shared with an earlier request in this
-                            // batch that has since been evicted) — run the
-                            // forward this request would have run unbatched.
-                            let _t = obs::timer(obs::HistMetric::ServeEncodeUs);
-                            stats.encoded += 1;
-                            obs::counter_add(obs::Metric::ServeEncoded, 1);
-                            model
-                                .encode_batch(std::slice::from_ref(&*query))
-                                .pop()
-                                .expect("batch of one yields one")
-                        }
-                    };
-                    if cache.insert(template, matrix.clone()).is_some() {
-                        obs::counter_add(obs::Metric::ServeCacheEvictions, 1);
-                    }
-                    resolve(&ticket, Ok(Embedding { matrix, cache_hit: false }));
-                }
-            }
-        }
+        };
+        resolve(&p.ticket, result);
         span.end();
     }
+}
+
+/// One parseable request: a counted lookup in the cache slice (none with
+/// the cache off), and on a miss a forward whose result is inserted.
+fn serve_query(
+    model: &SqlBert,
+    cache: Option<&mut LruCache<Matrix>>,
+    query: &Query,
+    template: String,
+    stats: &mut ShardStats,
+) -> Embedding {
+    let Some(cache) = cache else {
+        return Embedding { matrix: encode(model, query, stats), cache_hit: false };
+    };
+    if let Some(hit) = cache.get(&template) {
+        obs::counter_add(obs::Metric::ServeCacheHits, 1);
+        return Embedding { matrix: hit.clone(), cache_hit: true };
+    }
+    obs::counter_add(obs::Metric::ServeCacheMisses, 1);
+    let matrix = encode(model, query, stats);
+    if cache.insert(template, matrix.clone()).is_some() {
+        obs::counter_add(obs::Metric::ServeCacheEvictions, 1);
+    }
+    Embedding { matrix, cache_hit: false }
+}
+
+/// One tape-free forward, timed and counted.
+fn encode(model: &SqlBert, query: &Query, stats: &mut ShardStats) -> Matrix {
+    let matrix = {
+        let _t = obs::timer(obs::HistMetric::ServeEncodeUs);
+        model.encode(query)
+    };
+    stats.encoded += 1;
+    obs::counter_add(obs::Metric::ServeEncoded, 1);
+    matrix
 }

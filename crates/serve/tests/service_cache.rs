@@ -225,8 +225,7 @@ fn stats_are_invariant_across_max_batch() {
     let run = |max_batch: usize| -> (ServeStats, Vec<Option<Vec<u32>>>) {
         let config = ServeConfig {
             max_batch,
-            batch_timeout: 1_000, // batches close on fullness or drain, not ticks
-            cache_capacity: 2,    // small enough to exercise eviction replay
+            cache_capacity: 2, // small enough to exercise eviction replay
             ..ServeConfig::default()
         };
         let svc = spawn(config);
@@ -245,4 +244,82 @@ fn stats_are_invariant_across_max_batch() {
     }
     assert_eq!(base_stats.accepted, script.len() as u64);
     assert_eq!(base_stats.parse_errors, 1);
+}
+
+/// The representative-embedding contract under batching: the cache keys
+/// on the template, which drops literals, so a hit serves the embedding
+/// of its template's most recent miss — even when the hit's own literal
+/// falls in another value bucket and would embed differently. Every
+/// miss is the request's own `SqlBert::encode`, bit for bit, and both
+/// rules hold at every `max_batch`, under eviction pressure.
+#[test]
+fn hits_serve_their_templates_latest_miss_at_every_max_batch() {
+    let year = |y: u32| format!("SELECT COUNT(*) FROM title t WHERE t.production_year > {y}");
+    let join = |y: u32| {
+        format!(
+            "SELECT COUNT(*) FROM title t, movie_companies mc \
+             WHERE t.id = mc.movie_id AND t.production_year > {y}"
+        )
+    };
+    let kind = "SELECT * FROM title t WHERE t.kind_id IN (1, 3)".to_string();
+    // Three templates through a two-entry cache: hits carry other
+    // buckets' literals, and evictions force re-misses on new variants.
+    let script = [
+        year(1935),
+        year(2010),
+        join(1960),
+        year(1985),
+        kind.clone(),
+        year(1960),
+        join(2010),
+        join(1935),
+        kind,
+        year(2010),
+        year(1935),
+        join(1985),
+    ];
+    let model = test_model();
+    let key = |sql: &str| -> Vec<(usize, usize)> {
+        let pq = model.prepare(&parse(sql).unwrap());
+        pq.tokens.iter().map(|t| (t.vocab_id, t.state_id)).collect()
+    };
+    for variants in [[1935, 1960, 1985, 2010].map(year), [1935, 1960, 1985, 2010].map(join)] {
+        for (i, a) in variants.iter().enumerate() {
+            for b in &variants[i + 1..] {
+                assert_ne!(key(a), key(b), "precondition: {a:?} and {b:?} must prepare apart");
+            }
+        }
+    }
+
+    for max_batch in [1, 4, 16] {
+        let config = ServeConfig { max_batch, cache_capacity: 2, ..ServeConfig::default() };
+        let svc = spawn(config);
+        let tickets: Vec<_> = script.iter().map(|sql| svc.submit(sql).unwrap()).collect();
+        let stats = svc.shutdown();
+        assert!(stats.cache_hits > 0 && stats.cache_evictions > 0, "script must hit and evict");
+        let mut latest_miss = std::collections::HashMap::new();
+        let mut foreign_hits = 0;
+        for (sql, ticket) in script.iter().zip(tickets) {
+            let query = parse(sql).unwrap();
+            let served = ticket.wait().unwrap();
+            let template = template_text(&query);
+            let own = bits(&model.encode(&query));
+            if served.cache_hit {
+                assert_eq!(
+                    Some(&bits(&served.matrix)),
+                    latest_miss.get(&template),
+                    "hit must serve its template's latest miss at max_batch={max_batch}: {sql}"
+                );
+                foreign_hits += usize::from(bits(&served.matrix) != own);
+            } else {
+                assert_eq!(
+                    bits(&served.matrix),
+                    own,
+                    "miss must be its own encode at max_batch={max_batch}: {sql}"
+                );
+                latest_miss.insert(template, own);
+            }
+        }
+        assert!(foreign_hits > 0, "some hit must serve another bucket's embedding");
+    }
 }

@@ -78,7 +78,6 @@ fn replay(threads: usize, max_batch: usize) -> Replay {
 
     let config = ServeConfig {
         max_batch,
-        batch_timeout: 3,
         queue_capacity: SCRIPT.len() + 1, // the whole script fits: no rejections
         cache_capacity: 4,
         ..ServeConfig::default()

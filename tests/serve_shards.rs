@@ -1,8 +1,7 @@
 //! Sharded-serving acceptance test: replaying a fixed request script
 //! must yield bit-identical embeddings, identical per-request cache-hit
 //! flags, identical per-template cache counters, and identical traced
-//! event counts across shard counts {1, 2, 4, 8} (plus any
-//! `PREQR_SERVE_SHARDS` override from the CI matrix).
+//! event counts across shard counts {1, 2, 4, 8}.
 //!
 //! Why this holds (see `DESIGN.md` §9): embeddings are batch-invariant
 //! at the model layer and every shard replica is built deterministically;
@@ -116,7 +115,6 @@ fn replay(script: &[&str], shards: usize, cache_capacity: usize, traced: bool) -
     let config = ServeConfig {
         shards,
         max_batch: 4,
-        batch_timeout: 3,
         queue_capacity: script.len() * 8, // every shard slice fits the whole script
         cache_capacity,
     };
@@ -188,13 +186,6 @@ fn predicted_processed(shards: usize) -> Vec<u64> {
 
 #[test]
 fn fixed_script_replays_identically_across_shard_counts() {
-    let mut sweep = vec![2usize, 4, 8];
-    if let Some(n) = ServeConfig::shards_from_env() {
-        if n != 1 && !sweep.contains(&n) {
-            sweep.push(n);
-        }
-    }
-
     let base = replay(&SCRIPT, 1, 64, true);
     // Baseline sanity: one malformed request, one span per processed
     // request, and one full fixed-registry flush.
@@ -209,7 +200,7 @@ fn fixed_script_replays_identically_across_shard_counts() {
     let base_templates = per_template_counters(&base.outputs);
     assert!(base_templates.values().any(|&(hits, _)| hits > 0), "script repeats templates");
 
-    for &shards in &sweep {
+    for shards in [2usize, 4, 8] {
         let run = replay(&SCRIPT, shards, 64, true);
         assert_eq!(
             run.outputs, base.outputs,
