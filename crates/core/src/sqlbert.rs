@@ -68,6 +68,38 @@ fn final_rep(out: TrmGOutput) -> Tensor {
     }
 }
 
+/// The schema node states of one training chunk, shared by its examples
+/// (from [`SqlBert::chunk_nodes`]). Schema2Graph does not depend on the
+/// query, so the chunk computes it once on the tape and hands every
+/// example a detached, gradient-accumulating copy: each example's
+/// backward stops at [`ChunkNodes::leaf`], which sums the chunk's node
+/// gradients, and [`ChunkNodes::backward`] then runs one Schema2Graph
+/// backward with that sum. The result is the per-example backward's
+/// gradient, re-associated only inside Schema2Graph.
+pub struct ChunkNodes {
+    /// The node states on the tape.
+    nodes: Tensor,
+    /// A leaf copy of their value that the examples' backwards stop at.
+    leaf: Tensor,
+}
+
+impl ChunkNodes {
+    /// The node states the chunk's examples read (pass to
+    /// [`SqlBert::mlm_loss`]).
+    pub fn leaf(&self) -> &Tensor {
+        &self.leaf
+    }
+
+    /// Backpropagates the chunk's summed node gradient through
+    /// Schema2Graph, once. Call after the chunk's last example and before
+    /// the optimizer step.
+    pub fn backward(self) {
+        if let Some(seed) = self.leaf.take_grad() {
+            self.nodes.backward_with(seed);
+        }
+    }
+}
+
 /// Per-epoch training statistics — the shared `preqr-train` report type
 /// (re-exported here because pre-training has always returned it).
 pub use preqr_train::EpochStats;
@@ -164,6 +196,14 @@ impl SqlBert {
     /// Current schema node states (with gradient tracking).
     pub fn node_states(&self) -> Option<Tensor> {
         self.schema2graph.as_ref().map(Schema2Graph::node_states)
+    }
+
+    /// The schema node states for one training chunk (`None` without the
+    /// schema module): see [`ChunkNodes`].
+    pub fn chunk_nodes(&self) -> Option<ChunkNodes> {
+        let nodes = self.node_states()?;
+        let leaf = Tensor::param(nodes.value_clone());
+        Some(ChunkNodes { nodes, leaf })
     }
 
     /// Full forward pass to the final `n × output_dim` representation
@@ -334,8 +374,10 @@ impl SqlBert {
 
     /// Pre-trains with MLM over the corpus (§3.5.2). Queries are prepared
     /// once; Adam with linear warmup; gradients accumulate over
-    /// micro-batches of 8 (the schema node states are shared within a
-    /// micro-batch). Returns per-epoch statistics.
+    /// micro-batches of 8. Each micro-batch computes the schema node
+    /// states once and backpropagates through Schema2Graph once, with the
+    /// node gradient summed over its examples ([`ChunkNodes`]). Returns
+    /// per-epoch statistics.
     pub fn pretrain(&mut self, corpus: &[Query], epochs: usize, lr: f32) -> Vec<EpochStats> {
         self.pretrain_with(corpus, PretrainOptions::new(epochs, lr))
     }
@@ -503,15 +545,17 @@ impl SqlBert {
 }
 
 /// The MLM pre-training workload (§3.5.2), driven by the shared
-/// `preqr-train` Trainer: schema node states are recomputed once per
-/// micro-batch and shared within it, each example masks tokens with the
-/// trainer-owned rng, and the `pretrain.{masked,correct}_tokens`
+/// `preqr-train` Trainer: each micro-batch computes the schema node
+/// states once (`chunk_start`), each example masks tokens with the
+/// trainer-owned rng and backpropagates to the chunk's node leaf, and
+/// `chunk_end` runs the one Schema2Graph backward before the optimizer
+/// step ([`ChunkNodes`]). The `pretrain.{masked,correct}_tokens`
 /// counters are bumped from the epoch-end hook (epochs, steps, samples
 /// and loss are the Trainer's `train.*` metrics).
 struct PretrainTask<'a> {
     model: &'a SqlBert,
     prepared: Vec<PreparedQuery>,
-    nodes: Option<Tensor>,
+    nodes: Option<ChunkNodes>,
 }
 
 impl TrainTask for PretrainTask<'_> {
@@ -528,15 +572,21 @@ impl TrainTask for PretrainTask<'_> {
     }
 
     fn chunk_start(&mut self) {
-        self.nodes = self.model.node_states();
+        self.nodes = self.model.chunk_nodes();
     }
 
     fn step(&mut self, idx: usize, rng: &mut StdRng) -> StepOutput {
-        let (loss, masked, correct) =
-            self.model.mlm_loss(&self.prepared[idx], self.nodes.as_ref(), rng);
+        let nodes = self.nodes.as_ref().map(ChunkNodes::leaf);
+        let (loss, masked, correct) = self.model.mlm_loss(&self.prepared[idx], nodes, rng);
         let scalar = f64::from(loss.value_clone().get(0, 0));
         loss.backward();
         StepOutput { loss: scalar, masked, correct }
+    }
+
+    fn chunk_end(&mut self) {
+        if let Some(nodes) = self.nodes.take() {
+            nodes.backward();
+        }
     }
 
     fn epoch_end(&mut self, st: &preqr_train::EpochStats) {

@@ -22,7 +22,7 @@ use preqr_sql::normalize::state_keys;
 use preqr_sql::Query as SqlQuery;
 use preqr_train::{FnTask, Plan, StepOutput, Trainer, TrainerConfig};
 
-use crate::sqlbert::SqlBert;
+use crate::sqlbert::{ChunkNodes, SqlBert};
 
 /// The four update cases of §3.6.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,7 +64,8 @@ pub struct UpdateReport {
 
 /// Runs MLM steps over `samples` with the optimizer owning only `params`,
 /// via the shared Trainer in its sliding-window plan: one optimizer step
-/// per window of up to 4 samples, schema node states refreshed per step.
+/// per window of up to 4 samples, with the window's schema node states
+/// computed and backpropagated once ([`ChunkNodes`]).
 fn train_subset(
     model: &SqlBert,
     params: Vec<preqr_nn::Tensor>,
@@ -78,12 +79,18 @@ fn train_subset(
     let prepared: Vec<_> = samples.iter().map(|q| model.prepare(q)).collect();
     let nodes = std::cell::RefCell::new(None);
     let mut task = FnTask::new("update", prepared.len(), params, |idx, rng| {
-        let (loss, _, _) = model.mlm_loss(&prepared[idx], nodes.borrow().as_ref(), rng);
+        let (loss, _, _) =
+            model.mlm_loss(&prepared[idx], nodes.borrow().as_ref().map(ChunkNodes::leaf), rng);
         let scalar = f64::from(loss.value_clone().get(0, 0));
         loss.backward();
         StepOutput { loss: scalar, ..StepOutput::default() }
     })
-    .with_chunk_start(|| *nodes.borrow_mut() = model.node_states())
+    .with_chunk_start(|| *nodes.borrow_mut() = model.chunk_nodes())
+    .with_chunk_end(|| {
+        if let Some(chunk) = nodes.borrow_mut().take() {
+            chunk.backward();
+        }
+    })
     .with_post_step(|| {
         // Gradients accumulated into frozen params are discarded by
         // construction: the optimizer never owns them, and each

@@ -268,8 +268,9 @@ impl Tensor {
     }
 
     /// Runs reverse-mode differentiation seeding this node's gradient with
-    /// `seed` (same shape as the value). Useful for Jacobian-vector products
-    /// in tests.
+    /// `seed` (same shape as the value): a Jacobian-vector product, or the
+    /// continuation of a backward that stopped at a detached copy of this
+    /// node, seeded with the gradient that copy accumulated.
     pub fn backward_with(&self, seed: Matrix) {
         assert_eq!(self.shape(), seed.shape(), "backward seed shape mismatch");
         if !self.0.requires_grad {

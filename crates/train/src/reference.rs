@@ -77,6 +77,7 @@ fn run_epochs(
                 total_correct += out.correct;
                 samples += 1;
             }
+            task.chunk_end();
             last_chunk_loss = batch_loss / chunk_idxs.len().max(1) as f64;
             opt.set_lr(config.schedule.lr_at(config.lr, step));
             opt.step();
@@ -146,6 +147,7 @@ fn run_window(
             total_loss += out.loss;
             samples += 1;
         }
+        task.chunk_end();
         opt.set_lr(config.schedule.lr_at(config.lr, s as u64));
         opt.step();
         task.post_step();

@@ -28,9 +28,9 @@ pub struct StepOutput {
 /// gradient-accumulation chunking, the optimizer, the LR schedule, early
 /// stopping, and checkpointing; the task owns the forward/backward pass
 /// and optional epoch-end evaluation. Hooks fire in a fixed order per
-/// chunk — `chunk_start`, then `step` per example, then (after the
-/// optimizer update) `post_step` — and per epoch — `eval`, then
-/// `epoch_end`.
+/// chunk — `chunk_start`, then `step` per example, then `chunk_end`,
+/// then (after the optimizer update) `post_step` — and per epoch —
+/// `eval`, then `epoch_end`.
 ///
 /// Determinism contract for implementors: `step` must consume `rng`
 /// identically given the same `(idx, rng state)`, and must not read the
@@ -57,6 +57,11 @@ pub trait TrainTask {
 
     /// Runs forward + backward for example `idx` and reports the loss.
     fn step(&mut self, idx: usize, rng: &mut StdRng) -> StepOutput;
+
+    /// Called after the chunk's last `step` and before the optimizer
+    /// update (e.g. to backpropagate gradients summed over the chunk
+    /// through a side its examples share).
+    fn chunk_end(&mut self) {}
 
     /// Called after each optimizer update (e.g. to clear stray gradients
     /// on parameters outside the optimized subset).
@@ -87,6 +92,7 @@ pub struct FnTask<'a> {
     params: Vec<Tensor>,
     step: StepFn<'a>,
     chunk_start: Option<HookFn<'a>>,
+    chunk_end: Option<HookFn<'a>>,
     post_step: Option<HookFn<'a>>,
     eval: Option<EvalFn<'a>>,
     epoch_end: Option<EpochEndFn<'a>>,
@@ -107,6 +113,7 @@ impl<'a> FnTask<'a> {
             params,
             step: Box::new(step),
             chunk_start: None,
+            chunk_end: None,
             post_step: None,
             eval: None,
             epoch_end: None,
@@ -116,6 +123,12 @@ impl<'a> FnTask<'a> {
     /// Installs a chunk-start hook.
     pub fn with_chunk_start(mut self, f: impl FnMut() + 'a) -> Self {
         self.chunk_start = Some(Box::new(f));
+        self
+    }
+
+    /// Installs a chunk-end (pre-optimizer-step) hook.
+    pub fn with_chunk_end(mut self, f: impl FnMut() + 'a) -> Self {
+        self.chunk_end = Some(Box::new(f));
         self
     }
 
@@ -159,6 +172,12 @@ impl TrainTask for FnTask<'_> {
 
     fn step(&mut self, idx: usize, rng: &mut StdRng) -> StepOutput {
         (self.step)(idx, rng)
+    }
+
+    fn chunk_end(&mut self) {
+        if let Some(f) = self.chunk_end.as_mut() {
+            f();
+        }
     }
 
     fn post_step(&mut self) {

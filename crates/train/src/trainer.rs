@@ -252,6 +252,7 @@ impl Trainer {
                     totals.correct += out.correct;
                     totals.samples += 1;
                 }
+                task.chunk_end();
                 last_chunk_loss = chunk_loss / idxs.len().max(1) as f64;
                 opt.set_lr(self.config.schedule.lr_at(self.config.lr, step));
                 opt.step();

@@ -9,6 +9,8 @@
 //! and the estimation fine-tuners — against it **bit-for-bit**: same
 //! loss curves, same validation history, same final parameters.
 
+use std::cell::RefCell;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -42,29 +44,87 @@ fn setup() -> (Database, Vec<LabeledQuery>) {
     (db, labeled)
 }
 
+const PRETRAIN_EPOCHS: usize = 2;
+const PRETRAIN_LR: f32 = 1e-3;
+
+fn pretrain_setup(config: PreqrConfig) -> (Vec<Query>, SqlBert, SqlBert) {
+    let db = generate(ImdbConfig::tiny());
+    let corpus = workloads::pretrain_corpus(&db, 22, 7);
+    assert_ne!(corpus.len() % 8, 0, "corpus must not align with the chunk size");
+    let buckets = preqr_tasks::setup::value_buckets_from_db(&db, 8);
+    let trained = SqlBert::new(&corpus, db.schema(), buckets.clone(), config);
+    let legacy = SqlBert::new(&corpus, db.schema(), buckets, config);
+    (corpus, trained, legacy)
+}
+
+fn pretrain_config(corpus_len: usize) -> TrainerConfig {
+    TrainerConfig::new(
+        Plan::Epochs { epochs: PRETRAIN_EPOCHS, chunk: 8, shuffle: true },
+        PRETRAIN_LR,
+    )
+    .with_schedule(Schedule::bert(PRETRAIN_EPOCHS, corpus_len, 8))
+}
+
 /// `SqlBert::pretrain` (Trainer path) against the hand-rolled legacy
 /// loop shape: same shuffled visit order, same warmup-linear schedule,
 /// same per-epoch stats, same final weights. The corpus length is
 /// deliberately not a multiple of the chunk size (22 % 8 != 0) so the
 /// schedule's `scheduled_steps` chunk counting is exercised end to end.
+///
+/// The reference task shares each chunk's schema side the way
+/// pre-training does, written here from the public tensor API: the
+/// chunk's node states are computed once on the tape, every example
+/// backpropagates into a detached leaf copy of them, and the chunk-end
+/// hook runs one backward from the node states seeded with the leaf's
+/// summed gradient, before the optimizer step.
 #[test]
 fn pretrain_matches_legacy_reference_bit_for_bit() {
-    const EPOCHS: usize = 2;
-    const LR: f32 = 1e-3;
-    let db = generate(ImdbConfig::tiny());
-    let corpus = workloads::pretrain_corpus(&db, 22, 7);
-    assert_ne!(corpus.len() % 8, 0, "corpus must not align with the chunk size");
-    let buckets = preqr_tasks::setup::value_buckets_from_db(&db, 8);
-    let mut trained = SqlBert::new(&corpus, db.schema(), buckets.clone(), PreqrConfig::test());
-    let legacy = SqlBert::new(&corpus, db.schema(), buckets, PreqrConfig::test());
+    let (corpus, mut trained, legacy) = pretrain_setup(PreqrConfig::test());
 
     // Production path.
-    let stats = trained.pretrain(&corpus, EPOCHS, LR);
+    let stats = trained.pretrain(&corpus, PRETRAIN_EPOCHS, PRETRAIN_LR);
 
-    // Legacy path: the same task closures, run by the reference loop.
+    // Reference path: hand-built task closures, run by the reference loop.
     let mut rng = StdRng::seed_from_u64(legacy.config.seed.wrapping_add(1));
     let prepared: Vec<_> = corpus.iter().map(|q| legacy.prepare(q)).collect();
-    let nodes = std::cell::RefCell::new(None);
+    let chunk: RefCell<Option<(Tensor, Tensor)>> = RefCell::new(None);
+    let mut task = FnTask::new("pretrain", prepared.len(), legacy.params(), |idx, rng| {
+        let chunk = chunk.borrow();
+        let leaf = chunk.as_ref().map(|(_, leaf)| leaf);
+        let (loss, masked, correct) = legacy.mlm_loss(&prepared[idx], leaf, rng);
+        let scalar = f64::from(loss.value_clone().get(0, 0));
+        loss.backward();
+        StepOutput { loss: scalar, masked, correct }
+    })
+    .with_chunk_start(|| {
+        let nodes = legacy.node_states().expect("full PreQR has a schema module");
+        let leaf = Tensor::param(nodes.value_clone());
+        *chunk.borrow_mut() = Some((nodes, leaf));
+    })
+    .with_chunk_end(|| {
+        let (nodes, leaf) = chunk.borrow_mut().take().expect("chunk_start ran");
+        nodes.backward_with(leaf.take_grad().expect("every example reads the leaf"));
+    });
+    let report = reference::run(&mut task, &pretrain_config(corpus.len()), &mut rng);
+
+    assert_eq!(stats, report.stats, "per-epoch loss/accuracy trajectory");
+    assert_params_bit_identical(&trained.params(), &legacy.params());
+}
+
+/// PreQRNT (no schema module) against the legacy per-example task, whose
+/// every example backpropagates through the node states itself: with no
+/// schema side to share, pre-training runs exactly as it did before the
+/// one-backward-per-chunk schema side, bit for bit.
+#[test]
+fn pretrain_without_schema_matches_legacy_reference_bit_for_bit() {
+    let (corpus, mut trained, legacy) = pretrain_setup(PreqrConfig::test().without_schema());
+    assert!(legacy.node_states().is_none());
+
+    let stats = trained.pretrain(&corpus, PRETRAIN_EPOCHS, PRETRAIN_LR);
+
+    let mut rng = StdRng::seed_from_u64(legacy.config.seed.wrapping_add(1));
+    let prepared: Vec<_> = corpus.iter().map(|q| legacy.prepare(q)).collect();
+    let nodes = RefCell::new(None);
     let mut task = FnTask::new("pretrain", prepared.len(), legacy.params(), |idx, rng| {
         let (loss, masked, correct) = legacy.mlm_loss(&prepared[idx], nodes.borrow().as_ref(), rng);
         let scalar = f64::from(loss.value_clone().get(0, 0));
@@ -72,9 +132,7 @@ fn pretrain_matches_legacy_reference_bit_for_bit() {
         StepOutput { loss: scalar, masked, correct }
     })
     .with_chunk_start(|| *nodes.borrow_mut() = legacy.node_states());
-    let config = TrainerConfig::new(Plan::Epochs { epochs: EPOCHS, chunk: 8, shuffle: true }, LR)
-        .with_schedule(Schedule::bert(EPOCHS, corpus.len(), 8));
-    let report = reference::run(&mut task, &config, &mut rng);
+    let report = reference::run(&mut task, &pretrain_config(corpus.len()), &mut rng);
 
     assert_eq!(stats, report.stats, "per-epoch loss/accuracy trajectory");
     assert_params_bit_identical(&trained.params(), &legacy.params());
