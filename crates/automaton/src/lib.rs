@@ -32,7 +32,7 @@ pub use matcher::MatchResult;
 
 use std::collections::{HashMap, HashSet};
 
-use preqr_sql::normalize::{ClauseRegion, StateKey, SymbolClass};
+use preqr_sql::normalize::StateKey;
 use preqr_sql::template::TemplateSet;
 
 /// Reserved state id for tokens whose state key was never seen in any
@@ -110,19 +110,9 @@ impl Automaton {
         self.key_to_state.get(key).copied().unwrap_or(UNKNOWN_STATE)
     }
 
-    /// The key of a state id, if it is a known state.
-    pub fn key_of(&self, state: usize) -> Option<&StateKey> {
-        self.state_keys.get(state).and_then(Option::as_ref)
-    }
-
     /// Number of states including the unknown state.
     pub fn num_states(&self) -> usize {
         self.state_keys.len()
-    }
-
-    /// Number of distinct transitions.
-    pub fn num_transitions(&self) -> usize {
-        self.transitions.len()
     }
 
     /// Number of templates merged in.
@@ -165,12 +155,6 @@ impl Automaton {
         out.sort_unstable();
         out.dedup();
         out
-    }
-
-    /// Convenience: whether the automaton contains a key for the given
-    /// clause region and symbol class at depth 0.
-    pub fn has_symbol(&self, region: ClauseRegion, symbol: SymbolClass) -> bool {
-        self.key_to_state.contains_key(&StateKey::new(region, symbol, 0))
     }
 }
 

@@ -12,7 +12,7 @@ use preqr_nn::layers::{
     join, BiLstm, Embedding, Linear, LstmCell, Module, RelAdjacency, RgcnLayer,
 };
 use preqr_nn::{init, ops, Matrix, Tensor};
-use preqr_sql::ast::{Expr, Query, SelectItem};
+use preqr_sql::ast::{Expr, Query};
 use preqr_sql::normalize::linearize;
 
 /// Target-side vocabulary with `[PAD]/[BOS]/[EOS]/[UNK]` specials.
@@ -561,12 +561,6 @@ impl Module for RnnDecoder {
             l.collect_params(&join(prefix, "latent"), out);
         }
     }
-}
-
-/// Pools a select-item list into a display string (used by the tree
-/// encoder's leaves). Exposed for tests.
-pub fn item_label(i: &SelectItem) -> String {
-    i.to_string()
 }
 
 #[cfg(test)]

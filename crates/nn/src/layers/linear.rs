@@ -11,7 +11,7 @@ use crate::tensor::Tensor;
 /// An affine map `y = x W + b` (weights stored `in × out`).
 pub struct Linear {
     w: Tensor,
-    b: Option<Tensor>,
+    b: Tensor,
 }
 
 impl Linear {
@@ -19,22 +19,13 @@ impl Linear {
     pub fn new(in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
         Self {
             w: Tensor::param(init::xavier_uniform(in_dim, out_dim, rng)),
-            b: Some(Tensor::param(Matrix::zeros(1, out_dim))),
+            b: Tensor::param(Matrix::zeros(1, out_dim)),
         }
-    }
-
-    /// Creates a layer without a bias term.
-    pub fn new_no_bias(in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
-        Self { w: Tensor::param(init::xavier_uniform(in_dim, out_dim, rng)), b: None }
     }
 
     /// Applies the layer to an `n × in` tensor.
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        let y = ops::matmul(x, &self.w);
-        match &self.b {
-            Some(b) => ops::add_row(&y, b),
-            None => y,
-        }
+        ops::add_row(&ops::matmul(x, &self.w), &self.b)
     }
 
     /// Input dimension.
@@ -51,9 +42,7 @@ impl Linear {
 impl Module for Linear {
     fn collect_params(&self, prefix: &str, out: &mut Vec<(String, Tensor)>) {
         out.push((join(prefix, "w"), self.w.clone()));
-        if let Some(b) = &self.b {
-            out.push((join(prefix, "b"), b.clone()));
-        }
+        out.push((join(prefix, "b"), self.b.clone()));
     }
 }
 

@@ -70,11 +70,6 @@ impl Matrix {
         Self { rows, cols, data }
     }
 
-    /// Creates a `1 × n` row vector from a slice.
-    pub fn row_vector(values: &[f32]) -> Self {
-        Self::from_vec(1, values.len(), values.to_vec())
-    }
-
     /// Builds a matrix by evaluating `f(row, col)` for every cell.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f32) -> Self {
         let mut data = Vec::with_capacity(rows * cols);
@@ -390,11 +385,6 @@ impl Matrix {
                 *a *= s;
             }
         });
-    }
-
-    /// Sets every element to zero, keeping the allocation.
-    pub fn fill_zero(&mut self) {
-        self.data.fill(0.0);
     }
 
     /// Sum of all elements.

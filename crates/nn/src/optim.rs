@@ -1,37 +1,7 @@
-//! Optimizers: SGD and Adam with optional global-norm gradient clipping.
+//! The Adam optimizer with optional global-norm gradient clipping.
 
 use crate::matrix::Matrix;
 use crate::tensor::Tensor;
-
-/// Plain stochastic gradient descent.
-pub struct Sgd {
-    params: Vec<Tensor>,
-    lr: f32,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer over the given parameters.
-    pub fn new(params: Vec<Tensor>, lr: f32) -> Self {
-        Self { params, lr }
-    }
-
-    /// Applies one update, consuming and clearing accumulated gradients.
-    pub fn step(&mut self) {
-        for p in &self.params {
-            if let Some(g) = p.take_grad() {
-                let lr = self.lr;
-                p.update_value(|v| v.add_scaled_assign(&g, -lr));
-            }
-        }
-    }
-
-    /// Clears all accumulated gradients without updating.
-    pub fn zero_grad(&self) {
-        for p in &self.params {
-            p.zero_grad();
-        }
-    }
-}
 
 /// Adam (Kingma & Ba) with bias correction.
 pub struct Adam {
@@ -164,48 +134,10 @@ impl Adam {
     }
 }
 
-/// Linear warmup followed by linear decay (the BERT schedule).
-#[derive(Clone, Copy, Debug)]
-pub struct WarmupLinearSchedule {
-    base_lr: f32,
-    warmup_steps: u64,
-    total_steps: u64,
-}
-
-impl WarmupLinearSchedule {
-    /// Creates a schedule peaking at `base_lr` after `warmup_steps` and
-    /// decaying to zero at `total_steps`.
-    pub fn new(base_lr: f32, warmup_steps: u64, total_steps: u64) -> Self {
-        Self { base_lr, warmup_steps, total_steps: total_steps.max(1) }
-    }
-
-    /// Learning rate at `step`.
-    pub fn lr_at(&self, step: u64) -> f32 {
-        if self.warmup_steps > 0 && step < self.warmup_steps {
-            self.base_lr * (step + 1) as f32 / self.warmup_steps as f32
-        } else {
-            let remaining = self.total_steps.saturating_sub(step) as f32;
-            let span = self.total_steps.saturating_sub(self.warmup_steps).max(1) as f32;
-            self.base_lr * (remaining / span).clamp(0.0, 1.0)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ops;
-
-    #[test]
-    fn sgd_moves_against_gradient() {
-        let p = Tensor::param(Matrix::full(1, 1, 1.0));
-        let mut opt = Sgd::new(vec![p.clone()], 0.1);
-        // loss = p^2, grad = 2p
-        let loss = ops::mul(&p, &p);
-        ops::sum_all(&loss).backward();
-        opt.step();
-        assert!((p.value_clone().get(0, 0) - 0.8).abs() < 1e-6);
-    }
 
     #[test]
     fn adam_minimizes_quadratic() {
@@ -248,15 +180,5 @@ mod tests {
         p.accumulate_grad(&Matrix::full(1, 1, f32::NAN));
         opt.step();
         assert_eq!(p.value_clone().get(0, 0), 2.0);
-    }
-
-    #[test]
-    fn warmup_schedule_shape() {
-        let s = WarmupLinearSchedule::new(1.0, 10, 100);
-        assert!(s.lr_at(0) < s.lr_at(5));
-        assert!((s.lr_at(9) - 1.0).abs() < 1e-6);
-        assert!(s.lr_at(50) < 1.0);
-        assert!(s.lr_at(99) > 0.0);
-        assert_eq!(s.lr_at(100), 0.0);
     }
 }

@@ -13,7 +13,7 @@
 //! stack-borrowed closures, so they must never return — including by
 //! unwinding — while a worker may still touch the closure. A [`WaitGuard`]
 //! blocks on the completion latch from `Drop`, which runs even when the
-//! dispatcher's own inline chunk (or the left side of [`join`]) panics.
+//! dispatcher's own inline chunk panics.
 //! Worker-side panics are caught, flagged, and re-raised at the dispatch
 //! site once every task has finished.
 //!
@@ -317,43 +317,6 @@ pub fn for_each_row_chunk_mut(
     });
 }
 
-/// Runs `a` on the calling thread and `b` on a pool worker, returning both
-/// results. Falls back to sequential execution when only one thread is
-/// available or when called from inside a pool worker (see the module-level
-/// "Nesting" notes).
-pub fn join<RA, RB>(a: impl FnOnce() -> RA, b: impl FnOnce() -> RB + Send) -> (RA, RB)
-where
-    RB: Send,
-{
-    if effective_threads() < 2 || in_pool_worker() {
-        obs::counter_add(obs::Metric::NnJoinInline, 1);
-        return (a(), b());
-    }
-    obs::counter_add(obs::Metric::NnJoinPool, 1);
-    POOL.ensure_workers(1);
-    let latch = Arc::new(Latch::new(1));
-    let b_fn = Mutex::new(Some(b));
-    let b_out: Mutex<Option<RB>> = Mutex::new(None);
-    let wrapper = |_: Range<usize>| {
-        let g = lock(&b_fn).take();
-        if let Some(g) = g {
-            *lock(&b_out) = Some(g());
-        }
-    };
-    let task: &(dyn Fn(Range<usize>) + Sync) = &wrapper;
-    // SAFETY: the guard's Drop blocks on the latch, keeping `wrapper` (and
-    // its borrows of `b_fn`/`b_out`) alive past the worker's last use even
-    // when `a()` panics and unwinds through this frame.
-    let guard = WaitGuard { latch: &latch };
-    POOL.push(Job { task: unsafe { TaskRef::erase(task) }, range: 0..0, latch: latch.clone() });
-    let ra = a();
-    drop(guard);
-    assert!(!latch.panicked.load(Ordering::Acquire), "a preqr join task panicked");
-    let rb =
-        b_out.into_inner().unwrap_or_else(PoisonError::into_inner).expect("join task did not run");
-    (ra, rb)
-}
-
 /// Shareable raw base pointer for disjoint-range writes from pool tasks.
 /// Used by kernels that scatter into several buffers at once (e.g.
 /// layer-norm writes `out`, `xhat`, and `inv_std` per row).
@@ -386,9 +349,8 @@ pub(crate) fn global_lock() -> MutexGuard<'static, ()> {
 mod tests {
     use super::*;
 
-    /// Dispatches a row sweep and a `join` at `threads`, checking that every
-    /// row is covered and both `join` results come back — i.e. the pool
-    /// still serves after an earlier task panicked.
+    /// Dispatches a row sweep at `threads`, checking that every row is
+    /// covered — i.e. the pool still serves after an earlier task panicked.
     fn assert_pool_serves(threads: usize) {
         set_thread_override(Some(threads));
         let rows = 16;
@@ -396,10 +358,8 @@ mod tests {
         for_each_row_chunk(rows, 1, |range| {
             seen.fetch_add(range.len(), Ordering::SeqCst);
         });
-        let (a, b) = join(|| 1, || 2);
         set_thread_override(None);
         assert_eq!(seen.load(Ordering::SeqCst), rows, "a row chunk went missing");
-        assert_eq!((a, b), (1, 2));
     }
 
     #[test]
@@ -422,16 +382,6 @@ mod tests {
                 assert_eq!(buf[r * width + c], r as f32, "row {r} col {c}");
             }
         }
-    }
-
-    #[test]
-    fn join_returns_both_results() {
-        let _g = global_lock();
-        set_thread_override(Some(2));
-        let (a, b) = join(|| 21 * 2, || "right".to_string());
-        set_thread_override(None);
-        assert_eq!(a, 42);
-        assert_eq!(b, "right");
     }
 
     #[test]
@@ -516,40 +466,6 @@ mod tests {
     }
 
     #[test]
-    fn join_waits_for_pool_task_when_left_side_panics() {
-        let _g = global_lock();
-        set_thread_override(Some(2));
-        let done = Arc::new(AtomicBool::new(false));
-        let done_in_task = done.clone();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            join(
-                || panic!("left boom"),
-                move || {
-                    std::thread::sleep(std::time::Duration::from_millis(50));
-                    done_in_task.store(true, Ordering::SeqCst);
-                },
-            );
-        }));
-        set_thread_override(None);
-        assert!(result.is_err(), "left-side panic must propagate");
-        assert!(
-            done.load(Ordering::SeqCst),
-            "join unwound before the pool task finished with its borrows"
-        );
-        assert_pool_serves(2);
-    }
-
-    #[test]
-    fn join_reraises_right_side_panic_from_worker() {
-        let _g = global_lock();
-        set_thread_override(Some(2));
-        let result = std::panic::catch_unwind(|| join(|| 1, || -> i32 { panic!("right boom") }));
-        set_thread_override(None);
-        assert!(result.is_err(), "right-side panic must re-raise at the caller");
-        assert_pool_serves(2);
-    }
-
-    #[test]
     fn nested_dispatch_runs_inline_without_deadlock() {
         let _g = global_lock();
         set_thread_override(Some(2));
@@ -559,12 +475,8 @@ mod tests {
                 cells.fetch_add(outer.len() * inner.len(), Ordering::Relaxed);
             });
         });
-        // The right side runs on a pool worker; its nested join must run
-        // inline there instead of waiting on the (busy) pool.
-        let (a, b) = join(|| 3, || join(|| 1, || 2));
         set_thread_override(None);
         // Each outer chunk's inner dispatch covers all 4 inner rows.
         assert_eq!(cells.load(Ordering::Relaxed), 8 * 4);
-        assert_eq!((a, b), (3, (1, 2)));
     }
 }

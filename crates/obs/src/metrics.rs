@@ -21,10 +21,6 @@ pub enum Metric {
     NnDispatchInline,
     /// Kernel dispatches fanned out to the worker pool.
     NnDispatchPool,
-    /// `parallel::join` calls that ran sequentially.
-    NnJoinInline,
-    /// `parallel::join` calls that used a pool worker.
-    NnJoinPool,
     /// `Matrix::matmul` family entry calls (all variants).
     NnMatmulCalls,
     /// Tokens masked for the MLM objective.
@@ -75,11 +71,9 @@ pub enum Metric {
 
 impl Metric {
     /// Every counter, in flush order.
-    pub const ALL: [Metric; 27] = [
+    pub const ALL: [Metric; 25] = [
         Metric::NnDispatchInline,
         Metric::NnDispatchPool,
-        Metric::NnJoinInline,
-        Metric::NnJoinPool,
         Metric::NnMatmulCalls,
         Metric::PretrainMaskedTokens,
         Metric::PretrainCorrectTokens,
@@ -110,8 +104,6 @@ impl Metric {
         match self {
             Metric::NnDispatchInline => "nn.dispatch.inline",
             Metric::NnDispatchPool => "nn.dispatch.pool",
-            Metric::NnJoinInline => "nn.join.inline",
-            Metric::NnJoinPool => "nn.join.pool",
             Metric::NnMatmulCalls => "nn.matmul.calls",
             Metric::PretrainMaskedTokens => "pretrain.masked_tokens",
             Metric::PretrainCorrectTokens => "pretrain.correct_tokens",

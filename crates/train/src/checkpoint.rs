@@ -1,18 +1,21 @@
-//! Trainer checkpoints: resumable run state in a small binary container.
+//! Trainer checkpoints: the whole run state in a small binary container.
 //!
-//! Layout (version 1): magic `PQTR`, version u32, word count u64, then
-//! that many u64 LE words of run state (step counters, RNG reseed word,
-//! f64 accumulators as bit patterns, per-epoch stats, optional shuffle
-//! order), then an FNV-1a-64 checksum (u64 LE) over every preceding
-//! byte — followed by a `preqr-nn` parameter blob (itself checksummed,
-//! see `preqr_nn::serialize`) holding the model parameters, the Adam
+//! Layout (version 2): magic `PQTR`, version u32, word count u64, then
+//! that many u64 LE words holding the trainer's run-state record (epoch,
+//! chunk cursor and global step, the epoch's f64/count accumulators,
+//! patience and best value, the last chunk's loss, per-epoch stats, the
+//! epoch's visit order; f64s as bit patterns), the RNG's four
+//! xoshiro256** state words and the Adam step count, then an
+//! FNV-1a-64 checksum (u64 LE) over every preceding byte — followed by a
+//! `preqr-nn` parameter blob (itself checksummed, see
+//! `preqr_nn::serialize`) holding the model parameters, the Adam
 //! first/second moments, and the best-validation snapshot when one
 //! exists.
 //!
-//! RNG state is a single word: at every checkpoint boundary the trainer
-//! draws one `u64` from the live RNG, persists it here, and reseeds the
-//! live RNG from it, so a resumed run replays the exact stream of an
-//! uninterrupted run with the same checkpoint cadence.
+//! The RNG is stored exactly, so saving never draws from it: a run with
+//! checkpointing on, or one halted and resumed from its file, is
+//! bit-identical to the same run with checkpointing off. Files of the
+//! earlier version 1 layout are rejected.
 //!
 //! Writes go to a temporary sibling file and are renamed into place, so
 //! a crash mid-write never destroys the previous checkpoint.
@@ -20,13 +23,17 @@
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 
+use preqr_nn::optim::Adam;
 use preqr_nn::serialize::{apply_params, read_params, write_params};
 use preqr_nn::{Matrix, Tensor};
+use preqr_obs as obs;
+use rand::rngs::StdRng;
 
 use crate::stats::EpochStats;
+use crate::trainer::{RunState, Totals};
 
 const MAGIC: &[u8; 4] = b"PQTR";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 /// Largest accepted word count (stats + order for any realistic run).
 const MAX_WORDS: u64 = 1 << 28;
 
@@ -41,7 +48,8 @@ fn bad_data(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Where and how often the [`crate::Trainer`] checkpoints.
+/// Where and how often the [`crate::Trainer`] checkpoints. The trainer
+/// resumes from `path` whenever the file exists.
 #[derive(Clone, Debug)]
 pub struct CheckpointConfig {
     /// Checkpoint file path (overwritten atomically at each boundary).
@@ -49,65 +57,30 @@ pub struct CheckpointConfig {
     /// Checkpoint every this many optimizer steps (0 disables writing;
     /// resume still works if the file exists).
     pub every_steps: u64,
-    /// Whether to resume from `path` when it already exists.
-    pub resume: bool,
 }
 
 impl CheckpointConfig {
     /// Checkpoints to `path` every `every_steps` steps, resuming from an
     /// existing file.
     pub fn new(path: impl Into<PathBuf>, every_steps: u64) -> Self {
-        Self { path: path.into(), every_steps, resume: true }
+        Self { path: path.into(), every_steps }
     }
 }
 
-/// Full run state captured at a step boundary.
-pub(crate) struct Saved {
-    pub epoch: usize,
-    pub pos: usize,
-    pub step: u64,
-    pub rng_seed: u64,
-    pub adam_t: u64,
-    pub loss_total: f64,
-    pub samples: usize,
-    pub masked: usize,
-    pub correct: usize,
-    pub epoch_start_step: u64,
-    pub patience: usize,
-    pub best: Option<f64>,
-    pub last_chunk_loss: f64,
-    pub stats: Vec<EpochStats>,
-    pub order: Option<Vec<usize>>,
-    pub m: Vec<Matrix>,
-    pub v: Vec<Matrix>,
-    pub best_snap: Option<Vec<Matrix>>,
-}
-
-fn encode_words(s: &Saved) -> Vec<u64> {
-    let mut w = Vec::with_capacity(16 + s.stats.len() * 9);
-    w.push(s.epoch as u64);
-    w.push(s.pos as u64);
-    w.push(s.step);
-    w.push(s.rng_seed);
-    w.push(s.adam_t);
-    w.push(s.loss_total.to_bits());
-    w.push(s.samples as u64);
-    w.push(s.masked as u64);
-    w.push(s.correct as u64);
-    w.push(s.epoch_start_step);
-    w.push(s.patience as u64);
-    let mut flags = 0u64;
-    if s.best.is_some() {
-        flags |= 1;
-    }
-    if s.order.is_some() {
-        flags |= 2;
-    }
-    w.push(flags);
-    w.push(s.best.unwrap_or(0.0).to_bits());
-    w.push(s.last_chunk_loss.to_bits());
-    w.push(s.stats.len() as u64);
-    for st in &s.stats {
+fn encode_words(run: &RunState, rng: [u64; 4], adam_t: u64) -> Vec<u64> {
+    let mut w = Vec::with_capacity(20 + run.stats.len() * 9 + run.order.len());
+    w.extend([run.epoch as u64, run.pos as u64, run.step]);
+    w.extend(rng);
+    w.push(adam_t);
+    let t = &run.totals;
+    w.extend([t.loss.to_bits(), t.samples as u64, t.masked as u64, t.correct as u64]);
+    w.push(run.epoch_start_step);
+    w.push(run.patience as u64);
+    w.push(u64::from(run.best.is_some()));
+    w.push(run.best.as_ref().map_or(0.0, |(v, _)| *v).to_bits());
+    w.push(run.last_chunk_loss.to_bits());
+    w.push(run.stats.len() as u64);
+    for st in &run.stats {
         w.push(st.epoch as u64);
         w.push(st.loss.to_bits());
         w.push(st.accuracy.to_bits());
@@ -118,10 +91,8 @@ fn encode_words(s: &Saved) -> Vec<u64> {
         w.push(u64::from(st.val.is_some()));
         w.push(st.val.unwrap_or(0.0).to_bits());
     }
-    if let Some(order) = &s.order {
-        w.push(order.len() as u64);
-        w.extend(order.iter().map(|&i| i as u64));
-    }
+    w.push(run.order.len() as u64);
+    w.extend(run.order.iter().map(|&i| i as u64));
     w
 }
 
@@ -140,35 +111,50 @@ impl WordReader<'_> {
     fn next_usize(&mut self) -> io::Result<usize> {
         Ok(self.next()? as usize)
     }
+
+    fn next_f64(&mut self) -> io::Result<f64> {
+        Ok(f64::from_bits(self.next()?))
+    }
+
+    /// A length word, bounded by the payload so a corrupt count cannot
+    /// allocate beyond it.
+    fn next_len(&mut self, what: &str) -> io::Result<usize> {
+        let len = self.next_usize()?;
+        if len > self.words.len() {
+            return Err(bad_data(format!("checkpoint {what} {len} exceeds payload")));
+        }
+        Ok(len)
+    }
 }
 
-fn decode_words(words: &[u64]) -> io::Result<Saved> {
+/// Decodes the state words: the run record without its best snapshot
+/// (which lives in the parameter blob), the best value, the RNG state
+/// and the Adam step count.
+fn decode_words(words: &[u64]) -> io::Result<(RunState, Option<f64>, [u64; 4], u64)> {
     let mut r = WordReader { words, at: 0 };
     let epoch = r.next_usize()?;
     let pos = r.next_usize()?;
     let step = r.next()?;
-    let rng_seed = r.next()?;
+    let rng = [r.next()?, r.next()?, r.next()?, r.next()?];
     let adam_t = r.next()?;
-    let loss_total = f64::from_bits(r.next()?);
-    let samples = r.next_usize()?;
-    let masked = r.next_usize()?;
-    let correct = r.next_usize()?;
+    let totals = Totals {
+        loss: r.next_f64()?,
+        samples: r.next_usize()?,
+        masked: r.next_usize()?,
+        correct: r.next_usize()?,
+    };
     let epoch_start_step = r.next()?;
     let patience = r.next_usize()?;
-    let flags = r.next()?;
-    let best_bits = r.next()?;
-    let best = (flags & 1 != 0).then(|| f64::from_bits(best_bits));
-    let last_chunk_loss = f64::from_bits(r.next()?);
-    let n_stats = r.next_usize()?;
-    if n_stats > words.len() {
-        return Err(bad_data(format!("checkpoint stats count {n_stats} exceeds payload")));
-    }
+    let has_best = r.next()? != 0;
+    let best = r.next_f64()?;
+    let last_chunk_loss = r.next_f64()?;
+    let n_stats = r.next_len("stats count")?;
     let mut stats = Vec::with_capacity(n_stats);
     for _ in 0..n_stats {
         stats.push(EpochStats {
             epoch: r.next_usize()?,
-            loss: f64::from_bits(r.next()?),
-            accuracy: f64::from_bits(r.next()?),
+            loss: r.next_f64()?,
+            accuracy: r.next_f64()?,
             samples: r.next_usize()?,
             steps: r.next()?,
             masked: r.next_usize()?,
@@ -180,50 +166,39 @@ fn decode_words(words: &[u64]) -> io::Result<Saved> {
             },
         });
     }
-    let order = if flags & 2 != 0 {
-        let len = r.next_usize()?;
-        if len > words.len() {
-            return Err(bad_data(format!("checkpoint order length {len} exceeds payload")));
-        }
-        let mut order = Vec::with_capacity(len);
-        for _ in 0..len {
-            order.push(r.next_usize()?);
-        }
-        Some(order)
-    } else {
-        None
-    };
+    let n_order = r.next_len("order length")?;
+    let order = (0..n_order).map(|_| r.next_usize()).collect::<io::Result<_>>()?;
     if r.at != words.len() {
         return Err(bad_data("checkpoint has trailing state words"));
     }
-    Ok(Saved {
+    let run = RunState {
         epoch,
         pos,
         step,
-        rng_seed,
-        adam_t,
-        loss_total,
-        samples,
-        masked,
-        correct,
+        totals,
         epoch_start_step,
-        patience,
-        best,
-        last_chunk_loss,
-        stats,
         order,
-        m: Vec::new(),
-        v: Vec::new(),
-        best_snap: None,
-    })
+        stats,
+        patience,
+        best: None,
+        last_chunk_loss,
+    };
+    Ok((run, has_best.then_some(best), rng, adam_t))
 }
 
-/// Writes a checkpoint atomically (temp file + rename).
-pub(crate) fn save(path: &Path, state: &Saved, params: &[Tensor]) -> io::Result<()> {
+/// Writes the run record, the RNG state, the optimizer and the model
+/// parameters atomically (temp file + rename).
+pub(crate) fn save(
+    path: &Path,
+    run: &RunState,
+    rng: &StdRng,
+    opt: &Adam,
+    params: &[Tensor],
+) -> io::Result<()> {
     let mut buf = Vec::new();
     buf.extend_from_slice(MAGIC);
     buf.extend_from_slice(&VERSION.to_le_bytes());
-    let words = encode_words(state);
+    let words = encode_words(run, rng.state(), opt.step_count());
     buf.extend_from_slice(&(words.len() as u64).to_le_bytes());
     for w in &words {
         buf.extend_from_slice(&w.to_le_bytes());
@@ -231,17 +206,18 @@ pub(crate) fn save(path: &Path, state: &Saved, params: &[Tensor]) -> io::Result<
     let digest = fnv(&buf);
     buf.extend_from_slice(&digest.to_le_bytes());
 
+    let (m, v) = opt.moments();
     let mut named: Vec<(String, Tensor)> = Vec::new();
     for (i, p) in params.iter().enumerate() {
         named.push((format!("param.{i}"), p.clone()));
     }
-    for (i, m) in state.m.iter().enumerate() {
+    for (i, m) in m.iter().enumerate() {
         named.push((format!("adam.m.{i}"), Tensor::constant(m.clone())));
     }
-    for (i, v) in state.v.iter().enumerate() {
+    for (i, v) in v.iter().enumerate() {
         named.push((format!("adam.v.{i}"), Tensor::constant(v.clone())));
     }
-    if let Some(snap) = &state.best_snap {
+    if let Some((_, snap)) = &run.best {
         for (i, b) in snap.iter().enumerate() {
             named.push((format!("best.{i}"), Tensor::constant(b.clone())));
         }
@@ -250,17 +226,25 @@ pub(crate) fn save(path: &Path, state: &Saved, params: &[Tensor]) -> io::Result<
 
     let tmp = path.with_extension("tmp");
     std::fs::write(&tmp, &buf)?;
-    std::fs::rename(&tmp, path)
+    std::fs::rename(&tmp, path)?;
+    obs::counter_add(obs::Metric::TrainCheckpoints, 1);
+    Ok(())
 }
 
-/// Loads a checkpoint, applies the saved parameter values to `params`,
-/// and returns the full run state (Adam moments, best snapshot, stats).
+/// Loads a checkpoint: restores the model parameters, the optimizer
+/// (`opt` must manage `params`) and the RNG, and returns the run record.
 ///
 /// # Errors
-/// Any structural problem — bad magic/version, checksum mismatch,
-/// truncation, parameter count/shape mismatch — returns an error without
-/// touching `params`.
-pub(crate) fn load(path: &Path, params: &[Tensor]) -> io::Result<Saved> {
+/// Any structural problem — bad magic, a version other than the current
+/// one, checksum mismatch, truncation, parameter count/shape mismatch —
+/// returns an `InvalidData` (or I/O) error without touching `params`,
+/// `opt` or `rng`.
+pub(crate) fn load(
+    path: &Path,
+    params: &[Tensor],
+    opt: &mut Adam,
+    rng: &mut StdRng,
+) -> io::Result<RunState> {
     let mut f = std::io::BufReader::new(std::fs::File::open(path)?);
     let mut header = [0u8; 16];
     f.read_exact(&mut header)?;
@@ -287,72 +271,65 @@ pub(crate) fn load(path: &Path, params: &[Tensor]) -> io::Result<Saved> {
     }
     let words: Vec<u64> =
         body.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes"))).collect();
-    let mut saved = decode_words(&words)?;
+    let (mut run, best, rng_state, adam_t) = decode_words(&words)?;
 
     let loaded = read_params(&mut f)?;
+    // Every entry of `prefix.{i}`, one per parameter and shaped like it.
+    let per_param = |prefix: &str| -> io::Result<Vec<Matrix>> {
+        params
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let name = format!("{prefix}.{i}");
+                let m = loaded
+                    .get(&name)
+                    .ok_or_else(|| bad_data(format!("checkpoint is missing {name}")))?;
+                if m.shape() != p.shape() {
+                    return Err(bad_data(format!("checkpoint {name} shape mismatch")));
+                }
+                Ok(m.clone())
+            })
+            .collect()
+    };
+    let m = per_param("adam.m")?;
+    let v = per_param("adam.v")?;
+    if let Some(best) = best {
+        run.best = Some((best, per_param("best")?));
+    }
     let named: Vec<(String, Tensor)> =
         params.iter().enumerate().map(|(i, p)| (format!("param.{i}"), p.clone())).collect();
-    let mut m = Vec::with_capacity(params.len());
-    let mut v = Vec::with_capacity(params.len());
-    for (i, p) in params.iter().enumerate() {
-        let mi = loaded
-            .get(&format!("adam.m.{i}"))
-            .ok_or_else(|| bad_data(format!("checkpoint is missing adam.m.{i}")))?;
-        let vi = loaded
-            .get(&format!("adam.v.{i}"))
-            .ok_or_else(|| bad_data(format!("checkpoint is missing adam.v.{i}")))?;
-        if mi.shape() != p.shape() || vi.shape() != p.shape() {
-            return Err(bad_data(format!("checkpoint moment shape mismatch at {i}")));
-        }
-        m.push(mi.clone());
-        v.push(vi.clone());
-    }
-    let best_snap = if loaded.contains_key("best.0") || saved.best.is_some() {
-        let mut snap = Vec::with_capacity(params.len());
-        for (i, p) in params.iter().enumerate() {
-            let b = loaded
-                .get(&format!("best.{i}"))
-                .ok_or_else(|| bad_data(format!("checkpoint is missing best.{i}")))?;
-            if b.shape() != p.shape() {
-                return Err(bad_data(format!("checkpoint best-snapshot shape mismatch at {i}")));
-            }
-            snap.push(b.clone());
-        }
-        Some(snap)
-    } else {
-        None
-    };
     // Everything validated; now mutate the model (all-or-nothing).
     apply_params(&named, &loaded).map_err(bad_data)?;
-    saved.m = m;
-    saved.v = v;
-    saved.best_snap = best_snap;
-    Ok(saved)
+    opt.restore_state(adam_t, m, v);
+    *rng = StdRng::from_state(rng_state);
+    Ok(run)
 }
 
 #[cfg(test)]
 mod tests {
+    use rand::{Rng as _, SeedableRng};
+
     use super::*;
 
-    fn sample() -> (Vec<Tensor>, Saved) {
+    struct Sample {
+        params: Vec<Tensor>,
+        run: RunState,
+        opt: Adam,
+        rng: StdRng,
+    }
+
+    fn sample() -> Sample {
         let params = vec![
             Tensor::param(Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0])),
             Tensor::param(Matrix::from_vec(1, 3, vec![-1.0, 0.5, 9.0])),
         ];
-        let saved = Saved {
+        let run = RunState {
             epoch: 3,
             pos: 2,
             step: 17,
-            rng_seed: 0xdead_beef,
-            adam_t: 17,
-            loss_total: 1.25,
-            samples: 40,
-            masked: 7,
-            correct: 5,
+            totals: Totals { loss: 1.25, samples: 40, masked: 7, correct: 5 },
             epoch_start_step: 15,
-            patience: 1,
-            best: Some(2.5),
-            last_chunk_loss: 0.75,
+            order: vec![2, 0, 1],
             stats: vec![EpochStats {
                 epoch: 0,
                 loss: 3.5,
@@ -363,70 +340,95 @@ mod tests {
                 correct: 2,
                 val: Some(4.0),
             }],
-            order: Some(vec![2, 0, 1]),
-            m: params.iter().map(|p| Matrix::full(p.shape().0, p.shape().1, 0.1)).collect(),
-            v: params.iter().map(|p| Matrix::full(p.shape().0, p.shape().1, 0.2)).collect(),
-            best_snap: Some(params.iter().map(Tensor::value_clone).collect()),
+            patience: 1,
+            best: Some((2.5, params.iter().map(Tensor::value_clone).collect())),
+            last_chunk_loss: 0.75,
         };
-        (params, saved)
+        let mut opt = Adam::new(params.clone(), 1e-3);
+        let full = |x| params.iter().map(|p| Matrix::full(p.shape().0, p.shape().1, x)).collect();
+        opt.restore_state(17, full(0.1), full(0.2));
+        let mut rng = StdRng::seed_from_u64(5);
+        rng.next_u64();
+        Sample { params, run, opt, rng }
+    }
+
+    fn temp_path(name: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("preqr-train-{name}-{}.pqtr", std::process::id()))
     }
 
     #[test]
     fn round_trip_restores_everything() {
-        let (params, saved) = sample();
-        let dir = std::env::temp_dir().join("preqr-train-ckpt-roundtrip");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ckpt.pqtr");
-        save(&path, &saved, &params).unwrap();
-        // Perturb the live params; load must restore them.
-        params[0].set_value(Matrix::zeros(2, 2));
-        let got = load(&path, &params).unwrap();
-        assert_eq!(params[0].value_clone().data(), &[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(got.epoch, 3);
-        assert_eq!(got.pos, 2);
-        assert_eq!(got.step, 17);
-        assert_eq!(got.rng_seed, 0xdead_beef);
-        assert_eq!(got.adam_t, 17);
-        assert_eq!(got.loss_total.to_bits(), 1.25f64.to_bits());
-        assert_eq!(got.samples, 40);
-        assert_eq!(got.patience, 1);
-        assert_eq!(got.best, Some(2.5));
-        assert_eq!(got.last_chunk_loss.to_bits(), 0.75f64.to_bits());
-        assert_eq!(got.stats, saved.stats);
-        assert_eq!(got.order, Some(vec![2, 0, 1]));
-        assert_eq!(got.m[0].data(), saved.m[0].data());
-        assert_eq!(got.v[1].data(), saved.v[1].data());
-        assert_eq!(got.best_snap.unwrap()[0].data(), &[1.0, 2.0, 3.0, 4.0]);
+        let s = sample();
+        let path = temp_path("ckpt-roundtrip");
+        save(&path, &s.run, &s.rng, &s.opt, &s.params).unwrap();
+        // Perturb the live state; load must restore all of it.
+        s.params[0].set_value(Matrix::zeros(2, 2));
+        let mut opt = Adam::new(s.params.clone(), 1e-3);
+        let mut rng = StdRng::seed_from_u64(0);
+        let got = load(&path, &s.params, &mut opt, &mut rng).unwrap();
         std::fs::remove_file(&path).ok();
+        assert_eq!(s.params[0].value_clone().data(), &[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(got, s.run);
+        assert_eq!(rng.state(), s.rng.state());
+        assert_eq!(opt.step_count(), 17);
+        assert_eq!(opt.moments().0[0].data(), s.opt.moments().0[0].data());
+        assert_eq!(opt.moments().1[1].data(), s.opt.moments().1[1].data());
     }
 
     #[test]
-    fn rejects_corruption_without_touching_params() {
-        let (params, saved) = sample();
-        let dir = std::env::temp_dir().join("preqr-train-ckpt-corrupt");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ckpt.pqtr");
-        save(&path, &saved, &params).unwrap();
+    fn round_trips_a_run_without_best_snapshot() {
+        let mut s = sample();
+        s.run.best = None;
+        s.run.order.clear();
+        let path = temp_path("ckpt-nobest");
+        save(&path, &s.run, &s.rng, &s.opt, &s.params).unwrap();
+        let got = load(&path, &s.params, &mut s.opt, &mut s.rng).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(got, s.run);
+    }
+
+    #[test]
+    fn rejects_version_1() {
+        let s = sample();
+        let path = temp_path("ckpt-v1");
+        save(&path, &s.run, &s.rng, &s.opt, &s.params).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let (mut opt, mut rng) = (Adam::new(s.params.clone(), 1e-3), StdRng::seed_from_u64(0));
+        let err = load(&path, &s.params, &mut opt, &mut rng).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("version 1"), "{err}");
+    }
+
+    #[test]
+    fn rejects_corruption_without_touching_state() {
+        let s = sample();
+        let path = temp_path("ckpt-corrupt");
+        save(&path, &s.run, &s.rng, &s.opt, &s.params).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[20] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
-        let before = params[0].value_clone();
-        assert!(load(&path, &params).is_err());
-        assert_eq!(params[0].value_clone().data(), before.data());
+        let before = s.params[0].value_clone();
+        let (mut opt, mut rng) = (Adam::new(s.params.clone(), 1e-3), StdRng::seed_from_u64(0));
+        assert!(load(&path, &s.params, &mut opt, &mut rng).is_err());
         std::fs::remove_file(&path).ok();
+        assert_eq!(s.params[0].value_clone().data(), before.data());
+        assert_eq!(opt.step_count(), 0);
+        assert_eq!(rng.state(), StdRng::seed_from_u64(0).state());
     }
 
     #[test]
     fn rejects_truncation() {
-        let (params, saved) = sample();
-        let dir = std::env::temp_dir().join("preqr-train-ckpt-trunc");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ckpt.pqtr");
-        save(&path, &saved, &params).unwrap();
+        let s = sample();
+        let path = temp_path("ckpt-trunc");
+        save(&path, &s.run, &s.rng, &s.opt, &s.params).unwrap();
         let bytes = std::fs::read(&path).unwrap();
+        let (mut opt, mut rng) = (Adam::new(s.params.clone(), 1e-3), StdRng::seed_from_u64(0));
         for len in [0, 3, 15, 40, bytes.len() - 1] {
             std::fs::write(&path, &bytes[..len]).unwrap();
-            assert!(load(&path, &params).is_err(), "prefix of {len} bytes must fail");
+            assert!(load(&path, &s.params, &mut opt, &mut rng).is_err(), "prefix of {len} bytes");
         }
         std::fs::remove_file(&path).ok();
     }

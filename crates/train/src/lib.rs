@@ -20,13 +20,11 @@
 //! an independently written copy of the legacy loop shape; the golden
 //! tests pin `Trainer` against it bit-for-bit.
 //!
-//! Checkpointing composes with determinism through a reseed trick: at
-//! every checkpoint boundary the trainer draws one `u64` from the live
-//! RNG, persists it, and reseeds the live RNG from it. RNG state on disk
-//! is therefore a single word, and an interrupted-then-resumed run
-//! replays the exact stream of an uninterrupted run with the same
-//! checkpoint cadence. With checkpointing disabled the RNG stream is
-//! untouched (bit-identical to the legacy loops).
+//! Checkpointing never changes a run: a checkpoint stores the trainer's
+//! whole run-state record plus the RNG's exact xoshiro256** state, and
+//! saving never draws from the RNG. A run with checkpointing on at any
+//! cadence, and a run interrupted and resumed from its checkpoint, are
+//! both bit-identical to the same run with checkpointing off.
 
 #![warn(missing_docs)]
 

@@ -7,8 +7,7 @@
 //! patience-3 early stopping and best-snapshot restore. This module
 //! keeps that shape alive — no observability, no checkpointing, nothing
 //! shared with [`crate::Trainer`]'s control flow — so the golden tests
-//! can pin `Trainer::fit` against it bit-for-bit, and the bench harness
-//! can measure Trainer-vs-legacy overhead.
+//! can pin `Trainer::fit` against it bit-for-bit.
 //!
 //! Do not "fix" this module to match `Trainer`; its value is that it was
 //! written from the legacy loops, not from the trainer.

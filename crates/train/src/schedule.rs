@@ -1,15 +1,12 @@
 //! Learning-rate schedules.
 
-use preqr_nn::optim::WarmupLinearSchedule;
-
 /// A pluggable learning-rate schedule, evaluated per optimizer step.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Schedule {
     /// The base learning rate at every step.
     Constant,
     /// Linear warmup to the base rate, then linear decay to zero (the
-    /// BERT schedule; delegates to
-    /// [`preqr_nn::optim::WarmupLinearSchedule`] bit-for-bit).
+    /// BERT schedule).
     WarmupLinear {
         /// Steps spent warming up.
         warmup_steps: u64,
@@ -24,7 +21,14 @@ impl Schedule {
         match *self {
             Schedule::Constant => base_lr,
             Schedule::WarmupLinear { warmup_steps, total_steps } => {
-                WarmupLinearSchedule::new(base_lr, warmup_steps, total_steps).lr_at(step)
+                let total_steps = total_steps.max(1);
+                if warmup_steps > 0 && step < warmup_steps {
+                    base_lr * (step + 1) as f32 / warmup_steps as f32
+                } else {
+                    let remaining = total_steps.saturating_sub(step) as f32;
+                    let span = total_steps.saturating_sub(warmup_steps).max(1) as f32;
+                    base_lr * (remaining / span).clamp(0.0, 1.0)
+                }
             }
         }
     }
@@ -60,12 +64,14 @@ mod tests {
     }
 
     #[test]
-    fn warmup_linear_matches_nn_schedule_bitwise() {
-        let s = Schedule::WarmupLinear { warmup_steps: 7, total_steps: 91 };
-        let nn = WarmupLinearSchedule::new(0.02, 7, 91);
-        for step in 0..100 {
-            assert_eq!(s.lr_at(0.02, step).to_bits(), nn.lr_at(step).to_bits(), "step {step}");
-        }
+    fn warmup_schedule_shape() {
+        let s = Schedule::WarmupLinear { warmup_steps: 10, total_steps: 100 };
+        let lr = |step| s.lr_at(1.0, step);
+        assert!(lr(0) < lr(5));
+        assert!((lr(9) - 1.0).abs() < 1e-6);
+        assert!(lr(50) < 1.0);
+        assert!(lr(99) > 0.0);
+        assert_eq!(lr(100), 0.0);
     }
 
     #[test]

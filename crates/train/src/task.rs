@@ -81,7 +81,6 @@ pub trait TrainTask {
 type StepFn<'a> = Box<dyn FnMut(usize, &mut StdRng) -> StepOutput + 'a>;
 type HookFn<'a> = Box<dyn FnMut() + 'a>;
 type EvalFn<'a> = Box<dyn FnMut() -> f64 + 'a>;
-type EpochEndFn<'a> = Box<dyn FnMut(&EpochStats) + 'a>;
 
 /// A [`TrainTask`] assembled from closures — the migration vehicle for
 /// the small fine-tune loops (estimation heads, clustering, textgen,
@@ -95,7 +94,6 @@ pub struct FnTask<'a> {
     chunk_end: Option<HookFn<'a>>,
     post_step: Option<HookFn<'a>>,
     eval: Option<EvalFn<'a>>,
-    epoch_end: Option<EpochEndFn<'a>>,
 }
 
 impl<'a> FnTask<'a> {
@@ -116,7 +114,6 @@ impl<'a> FnTask<'a> {
             chunk_end: None,
             post_step: None,
             eval: None,
-            epoch_end: None,
         }
     }
 
@@ -141,12 +138,6 @@ impl<'a> FnTask<'a> {
     /// Installs an epoch-end validation metric (lower is better).
     pub fn with_eval(mut self, f: impl FnMut() -> f64 + 'a) -> Self {
         self.eval = Some(Box::new(f));
-        self
-    }
-
-    /// Installs an epoch-end hook.
-    pub fn with_epoch_end(mut self, f: impl FnMut(&EpochStats) + 'a) -> Self {
-        self.epoch_end = Some(Box::new(f));
         self
     }
 }
@@ -188,11 +179,5 @@ impl TrainTask for FnTask<'_> {
 
     fn eval(&mut self) -> Option<f64> {
         self.eval.as_mut().map(|f| f())
-    }
-
-    fn epoch_end(&mut self, stats: &EpochStats) {
-        if let Some(f) = self.epoch_end.as_mut() {
-            f(stats);
-        }
     }
 }

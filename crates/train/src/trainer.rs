@@ -7,9 +7,9 @@ use preqr_nn::optim::Adam;
 use preqr_nn::{Matrix, Tensor};
 use preqr_obs as obs;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
-use crate::checkpoint::{self, CheckpointConfig, Saved};
+use crate::checkpoint::{self, CheckpointConfig};
 use crate::schedule::Schedule;
 use crate::stats::{EpochStats, TrainReport};
 use crate::task::TrainTask;
@@ -52,8 +52,8 @@ pub struct TrainerConfig {
     /// validation improvement. `None` disables early stopping (the
     /// validation metric is still recorded when the task evaluates one).
     pub patience: Option<usize>,
-    /// Periodic checkpointing with crash-resume. `None` disables it and
-    /// leaves the RNG stream bit-identical to the legacy loops.
+    /// Periodic checkpointing with crash-resume. `None` disables it;
+    /// either way the run's results are the same.
     pub checkpoint: Option<CheckpointConfig>,
     /// Stop (with `halted = true`) once the global step counter reaches
     /// this value — used by smoke tests and the resume proptest to
@@ -90,20 +90,42 @@ impl TrainerConfig {
 
 /// Per-epoch f64/count accumulators, kept in the exact order the legacy
 /// loops accumulated them so trajectories stay bit-identical.
-#[derive(Clone, Copy, Default)]
-struct Totals {
-    loss: f64,
-    samples: usize,
-    masked: usize,
-    correct: usize,
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub(crate) struct Totals {
+    pub loss: f64,
+    pub samples: usize,
+    pub masked: usize,
+    pub correct: usize,
 }
 
-/// Mid-epoch resume state restored from a checkpoint.
-struct MidEpoch {
-    pos: usize,
-    totals: Totals,
-    epoch_start_step: u64,
-    order: Option<Vec<usize>>,
+/// Everything the loop carries from one optimizer step to the next. A
+/// checkpoint is this record whole, plus the model, the optimizer and
+/// the RNG; resuming continues from exactly this point.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub(crate) struct RunState {
+    /// The epoch in progress (or about to start).
+    pub epoch: usize,
+    /// Chunks of `epoch` already trained; 0 means the epoch has not
+    /// started (its visit order is not drawn yet).
+    pub pos: usize,
+    /// Global optimizer step.
+    pub step: u64,
+    /// The epoch's accumulators so far.
+    pub totals: Totals,
+    /// The global step at which `epoch` started.
+    pub epoch_start_step: u64,
+    /// The epoch's visit order (`Plan::Epochs` once started; empty
+    /// otherwise).
+    pub order: Vec<usize>,
+    /// Statistics of every completed epoch.
+    pub stats: Vec<EpochStats>,
+    /// Consecutive epochs without validation improvement.
+    pub patience: usize,
+    /// Best validation value seen and the parameter values at it,
+    /// restored when the run ends.
+    pub best: Option<(f64, Vec<Matrix>)>,
+    /// Mean loss of the last chunk trained.
+    pub last_chunk_loss: f64,
 }
 
 /// The shared training driver. Construct with a [`TrainerConfig`], then
@@ -118,11 +140,6 @@ impl Trainer {
         Self { config }
     }
 
-    /// The configuration this trainer runs with.
-    pub fn config(&self) -> &TrainerConfig {
-        &self.config
-    }
-
     /// Trains the task to completion, panicking on checkpoint I/O errors
     /// (the common path for tasks that don't checkpoint — I/O is then
     /// impossible and this never panics).
@@ -131,54 +148,37 @@ impl Trainer {
     }
 
     /// Trains the task to completion, or until early stopping or a
-    /// configured halt. See the crate docs for the determinism contract.
+    /// configured halt. Resumes from the configured checkpoint file when
+    /// it exists. See the crate docs for the determinism contract.
     pub fn try_fit(&self, task: &mut dyn TrainTask, rng: &mut StdRng) -> io::Result<TrainReport> {
         let n = task.len();
-        let (epochs, chunk_size) = match self.config.plan {
-            Plan::Epochs { epochs, chunk, .. } => (epochs, chunk.max(1)),
-            Plan::Window { .. } => (1, 1),
+        let (epochs, chunk_size, chunk_count) = match self.config.plan {
+            Plan::Epochs { epochs, chunk, .. } => (epochs, chunk.max(1), n.div_ceil(chunk.max(1))),
+            Plan::Window { steps, .. } => (1, 1, steps),
         };
         let params = task.params();
         let mut opt = Adam::new(params.clone(), self.config.lr);
+        let ckpt = self.config.checkpoint.as_ref();
+        // The checkpoint due after `step`, if any.
+        let due =
+            |step: u64| ckpt.filter(|ck| ck.every_steps > 0 && step.is_multiple_of(ck.every_steps));
+        let halt_due = |step: u64| self.config.halt_after_steps.is_some_and(|h| step >= h);
 
-        let mut stats: Vec<EpochStats> = Vec::new();
-        let mut step: u64 = 0;
-        let mut patience_count: usize = 0;
-        let mut best = f64::INFINITY;
-        let mut best_snap: Option<Vec<Matrix>> = None;
-        let mut last_chunk_loss = 0.0f64;
-        let mut early_stopped = false;
-        let mut halted = false;
-        let mut start_epoch = 0usize;
-        let mut mid_epoch: Option<MidEpoch> = None;
-
-        if let Some(ck) = &self.config.checkpoint {
-            if ck.resume && ck.path.exists() {
-                let saved = checkpoint::load(&ck.path, &params)?;
-                opt.restore_state(saved.adam_t, saved.m, saved.v);
-                *rng = StdRng::seed_from_u64(saved.rng_seed);
-                stats = saved.stats;
-                step = saved.step;
-                patience_count = saved.patience;
-                best = saved.best.unwrap_or(f64::INFINITY);
-                best_snap = saved.best_snap;
-                last_chunk_loss = saved.last_chunk_loss;
-                start_epoch = saved.epoch;
-                if saved.pos > 0 {
-                    mid_epoch = Some(MidEpoch {
-                        pos: saved.pos,
-                        totals: Totals {
-                            loss: saved.loss_total,
-                            samples: saved.samples,
-                            masked: saved.masked,
-                            correct: saved.correct,
-                        },
-                        epoch_start_step: saved.epoch_start_step,
-                        order: saved.order,
-                    });
-                }
+        let mut run = RunState::default();
+        if let Some(ck) = ckpt.filter(|ck| ck.path.exists()) {
+            run = checkpoint::load(&ck.path, &params, &mut opt, rng)?;
+            if matches!(self.config.plan, Plan::Epochs { .. })
+                && run.pos > 0
+                && run.order.len() != n
+            {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "checkpoint visit order does not match the task",
+                ));
             }
         }
+        let mut early_stopped = false;
+        let mut halted = false;
 
         obs::counter_add(obs::Metric::TrainRuns, 1);
         let mut run_span = obs::span("train.run")
@@ -187,52 +187,27 @@ impl Trainer {
             .field("epochs", epochs)
             .field("lr", self.config.lr);
 
-        'epochs: for epoch in start_epoch..epochs {
+        'epochs: while run.epoch < epochs {
             let mut epoch_span =
-                obs::span("train.epoch").field("task", task.name()).field("epoch", epoch);
-            let (order, start_pos, mut totals, epoch_start_step) = match mid_epoch.take() {
-                Some(mid) => {
-                    let order = match (&self.config.plan, mid.order) {
-                        (Plan::Window { .. }, _) => Vec::new(),
-                        (Plan::Epochs { .. }, Some(order)) => order,
-                        (Plan::Epochs { .. }, None) => {
-                            return Err(io::Error::new(
-                                io::ErrorKind::InvalidData,
-                                "mid-epoch checkpoint is missing the visit order",
-                            ));
+                obs::span("train.epoch").field("task", task.name()).field("epoch", run.epoch);
+            if run.pos == 0 {
+                if let Plan::Epochs { shuffle, .. } = self.config.plan {
+                    run.order = (0..n).collect();
+                    if shuffle {
+                        // Fisher–Yates with the caller's rng, in the
+                        // exact draw order the legacy loops used.
+                        for i in (1..n).rev() {
+                            run.order.swap(i, rng.random_range(0..=i));
                         }
-                    };
-                    (order, mid.pos, mid.totals, mid.epoch_start_step)
+                    }
                 }
-                None => {
-                    let order = match self.config.plan {
-                        Plan::Epochs { shuffle, .. } => {
-                            let mut order: Vec<usize> = (0..n).collect();
-                            if shuffle {
-                                // Fisher–Yates with the caller's rng, in the
-                                // exact draw order the legacy loops used.
-                                for i in (1..order.len()).rev() {
-                                    order.swap(i, rng.random_range(0..=i));
-                                }
-                            }
-                            order
-                        }
-                        Plan::Window { .. } => Vec::new(),
-                    };
-                    (order, 0, Totals::default(), step)
-                }
-            };
-            let chunk_count = match self.config.plan {
-                Plan::Epochs { .. } => n.div_ceil(chunk_size),
-                Plan::Window { steps, .. } => steps,
-            };
+            }
 
-            let mut pending_checkpoint: Option<u64> = None;
-            let mut halt_requested = false;
-            for pos in start_pos..chunk_count {
+            while run.pos < chunk_count {
+                let pos = run.pos;
                 let idxs: Vec<usize> = match self.config.plan {
                     Plan::Epochs { .. } => {
-                        order[pos * chunk_size..((pos + 1) * chunk_size).min(n)].to_vec()
+                        run.order[pos * chunk_size..((pos + 1) * chunk_size).min(n)].to_vec()
                     }
                     Plan::Window { take, .. } => {
                         if n == 0 {
@@ -247,73 +222,39 @@ impl Trainer {
                 for &idx in &idxs {
                     let out = task.step(idx, rng);
                     chunk_loss += out.loss;
-                    totals.loss += out.loss;
-                    totals.masked += out.masked;
-                    totals.correct += out.correct;
-                    totals.samples += 1;
+                    run.totals.loss += out.loss;
+                    run.totals.masked += out.masked;
+                    run.totals.correct += out.correct;
+                    run.totals.samples += 1;
                 }
                 task.chunk_end();
-                last_chunk_loss = chunk_loss / idxs.len().max(1) as f64;
-                opt.set_lr(self.config.schedule.lr_at(self.config.lr, step));
+                run.last_chunk_loss = chunk_loss / idxs.len().max(1) as f64;
+                opt.set_lr(self.config.schedule.lr_at(self.config.lr, run.step));
                 opt.step();
-                step += 1;
+                run.step += 1;
+                run.pos += 1;
                 task.post_step();
 
-                if let Some(ck) = &self.config.checkpoint {
-                    if ck.every_steps > 0 && step.is_multiple_of(ck.every_steps) {
-                        // Reseed trick: one draw pins the whole RNG state.
-                        let seed = rng.random::<u64>();
-                        *rng = StdRng::seed_from_u64(seed);
-                        if pos + 1 == chunk_count {
-                            // Defer to after epoch bookkeeping so the file
-                            // records the completed epoch.
-                            pending_checkpoint = Some(seed);
-                        } else {
-                            let saved = Saved {
-                                epoch,
-                                pos: pos + 1,
-                                step,
-                                rng_seed: seed,
-                                adam_t: opt.step_count(),
-                                loss_total: totals.loss,
-                                samples: totals.samples,
-                                masked: totals.masked,
-                                correct: totals.correct,
-                                epoch_start_step,
-                                patience: patience_count,
-                                best: best_snap.as_ref().map(|_| best),
-                                last_chunk_loss,
-                                stats: stats.clone(),
-                                order: match self.config.plan {
-                                    Plan::Epochs { .. } => Some(order.clone()),
-                                    Plan::Window { .. } => None,
-                                },
-                                m: opt.moments().0.to_vec(),
-                                v: opt.moments().1.to_vec(),
-                                best_snap: best_snap.clone(),
-                            };
-                            checkpoint::save(&ck.path, &saved, &params)?;
-                            obs::counter_add(obs::Metric::TrainCheckpoints, 1);
-                        }
-                    }
+                // The epoch's last chunk saves and halts only after the
+                // epoch bookkeeping, so the file records the completed epoch.
+                if run.pos == chunk_count {
+                    break;
                 }
-                if let Some(h) = self.config.halt_after_steps {
-                    if step >= h {
-                        halt_requested = true;
-                        if pos + 1 != chunk_count {
-                            halted = true;
-                            epoch_span.add_field("halted_at_step", step);
-                            epoch_span.end();
-                            break 'epochs;
-                        }
-                        // Last chunk: finish epoch bookkeeping first.
-                    }
+                if let Some(ck) = due(run.step) {
+                    checkpoint::save(&ck.path, &run, rng, &opt, &params)?;
+                }
+                if halt_due(run.step) {
+                    halted = true;
+                    epoch_span.add_field("halted_at_step", run.step);
+                    epoch_span.end();
+                    break 'epochs;
                 }
             }
 
+            let totals = run.totals;
             let epoch_loss = totals.loss / totals.samples.max(1) as f64;
             let epoch_acc = totals.correct as f64 / totals.masked.max(1) as f64;
-            let epoch_steps = step - epoch_start_step;
+            let epoch_steps = run.step - run.epoch_start_step;
             obs::counter_add(obs::Metric::TrainEpochs, 1);
             obs::counter_add(obs::Metric::TrainSteps, epoch_steps);
             obs::counter_add(obs::Metric::TrainSamples, totals.samples as u64);
@@ -329,7 +270,7 @@ impl Trainer {
                 epoch_span.add_field("val", v);
             }
             let st = EpochStats {
-                epoch,
+                epoch: run.epoch,
                 loss: epoch_loss,
                 accuracy: epoch_acc,
                 samples: totals.samples,
@@ -340,67 +281,55 @@ impl Trainer {
             };
             task.epoch_end(&st);
             epoch_span.end();
-            stats.push(st);
+            run.stats.push(st);
 
-            let mut stop = false;
             if let (Some(patience), Some(v)) = (self.config.patience, val) {
-                if v < best {
-                    best = v;
-                    best_snap = Some(params.iter().map(Tensor::value_clone).collect());
-                    patience_count = 0;
+                if v < run.best.as_ref().map_or(f64::INFINITY, |(best, _)| *best) {
+                    run.best = Some((v, params.iter().map(Tensor::value_clone).collect()));
+                    run.patience = 0;
                 } else {
-                    patience_count += 1;
-                    if patience_count >= patience {
+                    run.patience += 1;
+                    if run.patience >= patience {
                         obs::counter_add(obs::Metric::TrainEarlyStops, 1);
                         early_stopped = true;
-                        stop = true;
                     }
                 }
             }
 
-            if let Some(seed) = pending_checkpoint.take() {
-                let ck = self.config.checkpoint.as_ref().expect("pending implies configured");
-                let saved = Saved {
-                    epoch: epoch + 1,
-                    pos: 0,
-                    step,
-                    rng_seed: seed,
-                    adam_t: opt.step_count(),
-                    loss_total: 0.0,
-                    samples: 0,
-                    masked: 0,
-                    correct: 0,
-                    epoch_start_step: step,
-                    patience: patience_count,
-                    best: best_snap.as_ref().map(|_| best),
-                    last_chunk_loss,
-                    stats: stats.clone(),
-                    order: None,
-                    m: opt.moments().0.to_vec(),
-                    v: opt.moments().1.to_vec(),
-                    best_snap: best_snap.clone(),
-                };
-                checkpoint::save(&ck.path, &saved, &params)?;
-                obs::counter_add(obs::Metric::TrainCheckpoints, 1);
+            run.epoch += 1;
+            run.pos = 0;
+            run.totals = Totals::default();
+            run.epoch_start_step = run.step;
+            run.order.clear();
+            // An epoch with no chunks took no step, so nothing is due.
+            let stepped = chunk_count > 0;
+            if let Some(ck) = due(run.step).filter(|_| stepped) {
+                checkpoint::save(&ck.path, &run, rng, &opt, &params)?;
             }
-            if stop {
-                break 'epochs;
+            if early_stopped {
+                break;
             }
-            if halt_requested {
+            if stepped && halt_due(run.step) {
                 halted = true;
-                break 'epochs;
+                break;
             }
         }
 
         if !halted {
-            if let Some(snap) = &best_snap {
+            if let Some((_, snap)) = &run.best {
                 for (p, m) in params.iter().zip(snap) {
                     p.set_value(m.clone());
                 }
             }
         }
-        run_span.add_field("steps", step);
+        run_span.add_field("steps", run.step);
         run_span.end();
-        Ok(TrainReport { stats, steps: step, early_stopped, halted, last_chunk_loss })
+        Ok(TrainReport {
+            stats: run.stats,
+            steps: run.step,
+            early_stopped,
+            halted,
+            last_chunk_loss: run.last_chunk_loss,
+        })
     }
 }

@@ -1,16 +1,13 @@
 //! Interrupt/resume property test: a Trainer run halted at a random
 //! step boundary and resumed from its latest checkpoint must finish
-//! with final parameters **bit-identical** to an uninterrupted run with
-//! the same checkpoint cadence.
+//! with epoch stats and final parameters **bit-identical** to the same
+//! run with checkpointing off.
 //!
-//! The reseed trick makes this hold exactly: at every checkpoint
-//! boundary the trainer persists one freshly drawn `u64` and reseeds
-//! its live RNG from it, so both runs replay the same RNG stream
-//! regardless of where the interruption lands (as long as at least one
-//! checkpoint was written before the halt — steps after the last
-//! checkpoint are rolled back by the resume load).
-
-use std::path::Path;
+//! A checkpoint stores the RNG's exact state and saving never draws
+//! from it, so the resumed run replays the plain run's RNG stream
+//! wherever the interruption lands (as long as at least one checkpoint
+//! was written before the halt — steps after the last checkpoint are
+//! rolled back by the resume load).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -30,15 +27,15 @@ fn examples(n: usize) -> Vec<(Tensor, f32)> {
         .collect()
 }
 
-/// Builds a fresh model and runs one `fit` per entry of `halts` against
-/// the same checkpoint path (`None` = run to completion). Returns the
-/// last report's stats, whether any phase halted, and the final params.
+/// Builds a fresh model and runs one `fit` per entry of `halts` (`None`
+/// = run to completion), checkpointing to `checkpoint` when given.
+/// Returns the last report's stats, whether any phase halted, and the
+/// final params.
 fn run_phases(
     n: usize,
     epochs: usize,
     chunk: usize,
-    every: u64,
-    path: &Path,
+    checkpoint: Option<CheckpointConfig>,
     halts: &[Option<u64>],
 ) -> (Vec<EpochStats>, bool, Vec<Matrix>) {
     let mut init = StdRng::seed_from_u64(42);
@@ -59,8 +56,8 @@ fn run_phases(
             loss.backward();
             StepOutput { loss: scalar, ..StepOutput::default() }
         });
-        let mut config = TrainerConfig::new(Plan::Epochs { epochs, chunk, shuffle: true }, 1e-2)
-            .with_checkpoint(CheckpointConfig::new(path.to_path_buf(), every));
+        let mut config = TrainerConfig::new(Plan::Epochs { epochs, chunk, shuffle: true }, 1e-2);
+        config.checkpoint = checkpoint.clone();
         config.halt_after_steps = halt;
         let mut rng = StdRng::seed_from_u64(7);
         let report = Trainer::new(config).fit(&mut task, &mut rng);
@@ -86,22 +83,18 @@ proptest! {
         prop_assume!(total > every);
         let halt = every + halt_off % (total - every);
 
-        let dir = std::env::temp_dir();
         let tag = format!("{}_{n}_{epochs}_{chunk}_{every}_{halt}", std::process::id());
-        let base_path = dir.join(format!("preqr_resume_base_{tag}.ckpt"));
-        let int_path = dir.join(format!("preqr_resume_int_{tag}.ckpt"));
-        let _ = std::fs::remove_file(&base_path);
-        let _ = std::fs::remove_file(&int_path);
+        let path = std::env::temp_dir().join(format!("preqr_resume_{tag}.ckpt"));
+        let _ = std::fs::remove_file(&path);
 
-        let (base_stats, base_halted, base_params) =
-            run_phases(n, epochs, chunk, every, &base_path, &[None]);
+        let (base_stats, base_halted, base_params) = run_phases(n, epochs, chunk, None, &[None]);
+        let checkpoint = CheckpointConfig::new(path.clone(), every);
         let (res_stats, res_halted, res_params) =
-            run_phases(n, epochs, chunk, every, &int_path, &[Some(halt), None]);
+            run_phases(n, epochs, chunk, Some(checkpoint), &[Some(halt), None]);
 
-        let _ = std::fs::remove_file(&base_path);
-        let _ = std::fs::remove_file(&int_path);
+        let _ = std::fs::remove_file(&path);
 
-        prop_assert!(!base_halted, "uninterrupted run must not halt");
+        prop_assert!(!base_halted, "plain run must not halt");
         prop_assert!(res_halted, "first phase must actually halt (halt={halt}, total={total})");
         prop_assert_eq!(&base_stats, &res_stats);
         prop_assert_eq!(base_params.len(), res_params.len());

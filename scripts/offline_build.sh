@@ -38,7 +38,7 @@ lib preqr_train "$REPO/crates/train/src/lib.rs" $RAND $(X preqr_nn) $OBS
 lib preqr_engine "$REPO/crates/engine/src/lib.rs" $RAND $(X preqr_sql) $(X preqr_schema) $OBS
 lib preqr_data  "$REPO/crates/data/src/lib.rs" $RAND $(X preqr_sql) $(X preqr_schema) $(X preqr_engine)
 lib preqr       "$REPO/crates/core/src/lib.rs" $RAND $(X preqr_nn) $(X preqr_train) $(X preqr_sql) $(X preqr_automaton) $(X preqr_schema) $OBS
-lib preqr_baselines "$REPO/crates/baselines/src/lib.rs" $RAND $(X preqr_nn) $(X preqr_train) $(X preqr_sql) $(X preqr_schema) $(X preqr_engine)
-lib preqr_tasks "$REPO/crates/tasks/src/lib.rs" $RAND $(X preqr_nn) $(X preqr_train) $(X preqr_sql) $(X preqr_automaton) $(X preqr_schema) $(X preqr_engine) $(X preqr_data) $(X preqr) $(X preqr_baselines) $OBS
-lib preqr_serve "$REPO/crates/serve/src/lib.rs" $(X preqr_nn) $(X preqr_sql) $(X preqr_schema) $(X preqr) $OBS
+lib preqr_baselines "$REPO/crates/baselines/src/lib.rs" $RAND $(X preqr_nn) $(X preqr_sql) $(X preqr_engine)
+lib preqr_tasks "$REPO/crates/tasks/src/lib.rs" $RAND $(X preqr_nn) $(X preqr_train) $(X preqr_sql) $(X preqr_engine) $(X preqr_data) $(X preqr) $(X preqr_baselines) $OBS
+lib preqr_serve "$REPO/crates/serve/src/lib.rs" $(X preqr_nn) $(X preqr_sql) $(X preqr) $OBS
 echo "[build] done -> $OUT"

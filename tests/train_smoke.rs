@@ -32,8 +32,8 @@ fn one_pretrain_epoch_and_one_finetune_run() {
 }
 
 /// Halting a pre-train mid-run and resuming from the periodic
-/// checkpoint reproduces the uninterrupted run bit-for-bit (both runs
-/// share the checkpoint cadence, so the RNG reseed points line up).
+/// checkpoint reproduces plain, never-checkpointed pre-training
+/// bit-for-bit (a checkpoint stores the exact RNG state).
 #[test]
 fn pretrain_halt_resume_matches_uninterrupted() {
     const EPOCHS: usize = 2;
@@ -42,20 +42,15 @@ fn pretrain_halt_resume_matches_uninterrupted() {
     // land at steps 2, 4, 6 and the halt at 3 interrupts mid-epoch.
     let corpus = workloads::pretrain_corpus(&db, 20, 7);
     let buckets = value_buckets_from_db(&db, 8);
-    let dir = std::env::temp_dir();
-    let base_path = dir.join(format!("preqr_smoke_base_{}.ckpt", std::process::id()));
-    let int_path = dir.join(format!("preqr_smoke_int_{}.ckpt", std::process::id()));
-    let _ = std::fs::remove_file(&base_path);
-    let _ = std::fs::remove_file(&int_path);
+    let path = std::env::temp_dir().join(format!("preqr_smoke_{}.ckpt", std::process::id()));
+    let _ = std::fs::remove_file(&path);
 
     let mut base = SqlBert::new(&corpus, db.schema(), buckets.clone(), PreqrConfig::test());
-    let mut opts = PretrainOptions::new(EPOCHS, 1e-3);
-    opts.checkpoint = Some(CheckpointConfig::new(base_path.clone(), 2));
-    let base_stats = base.pretrain_with(&corpus, opts);
+    let base_stats = base.pretrain(&corpus, EPOCHS, 1e-3);
 
     let mut resumed = SqlBert::new(&corpus, db.schema(), buckets, PreqrConfig::test());
     let mut opts = PretrainOptions::new(EPOCHS, 1e-3);
-    opts.checkpoint = Some(CheckpointConfig::new(int_path.clone(), 2));
+    opts.checkpoint = Some(CheckpointConfig::new(path.clone(), 2));
     opts.halt_after_steps = Some(3);
     let partial = resumed.pretrain_with(&corpus, opts.clone());
     assert!(partial.len() < EPOCHS, "halt must interrupt the run");
@@ -63,8 +58,7 @@ fn pretrain_halt_resume_matches_uninterrupted() {
     opts.halt_after_steps = None;
     let resumed_stats = resumed.pretrain_with(&corpus, opts);
 
-    let _ = std::fs::remove_file(&base_path);
-    let _ = std::fs::remove_file(&int_path);
+    let _ = std::fs::remove_file(&path);
 
     assert_eq!(base_stats, resumed_stats, "loss/accuracy trajectory after resume");
     let (a, b) = (base.params(), resumed.params());
