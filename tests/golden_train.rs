@@ -19,8 +19,8 @@ use preqr_baselines::lstm_est::{LstmEstimator, LstmVocab};
 use preqr_baselines::mscn::{MscnFeaturizer, MscnModel};
 use preqr_data::imdb::{generate, ImdbConfig};
 use preqr_data::workloads::{self, LabeledQuery};
-use preqr_engine::{CostModel, Database};
-use preqr_nn::layers::Module;
+use preqr_engine::{BitmapSampler, CostModel, Database, TableStats};
+use preqr_nn::layers::{Mlp, Module};
 use preqr_nn::{ops, Matrix, Tensor};
 use preqr_sql::ast::Query;
 use preqr_tasks::estimation::{self, Estimator, Normalizer, Target};
@@ -34,6 +34,65 @@ fn assert_params_bit_identical(a: &[Tensor], b: &[Tensor]) {
         assert_eq!(xv.shape(), yv.shape(), "param {i} shape");
         let same = xv.data().iter().zip(yv.data()).all(|(p, q)| p.to_bits() == q.to_bits());
         assert!(same, "param {i} diverged");
+    }
+}
+
+/// The side-input configurations the estimation tables run: no sampler
+/// (Figure 8's NS-rows) and the bitmap sampler (every Table 8/9 row),
+/// each for cardinality and cost.
+fn estimation_cases(sampler: &BitmapSampler) -> [(Option<&BitmapSampler>, Target); 4] {
+    [
+        (None, Target::Cardinality),
+        (Some(sampler), Target::Cardinality),
+        (None, Target::Cost),
+        (Some(sampler), Target::Cost),
+    ]
+}
+
+/// The estimation fine-tuners' Trainer configuration, written out.
+fn estimation_config(epochs: usize, chunk: usize, lr: f32) -> TrainerConfig {
+    let mut config = TrainerConfig::new(Plan::Epochs { epochs, chunk, shuffle: false }, lr);
+    config.patience = Some(3);
+    config
+}
+
+/// One Huber-loss step on a scalar prediction.
+fn huber_step(pred: &Tensor, target: f32) -> StepOutput {
+    let loss = ops::huber_loss(pred, &Matrix::full(1, 1, target), 1.0);
+    let scalar = f64::from(loss.value_clone().get(0, 0));
+    loss.backward();
+    StepOutput { loss: scalar, ..StepOutput::default() }
+}
+
+/// Mean validation q-error, summed in workload order.
+fn mean_qerror(valid: &[LabeledQuery], target: Target, predict: impl Fn(&Query) -> f64) -> f64 {
+    valid.iter().map(|lq| qerror(predict(&lq.query), target.truth(lq))).sum::<f64>()
+        / valid.len() as f64
+}
+
+fn log_normalizer(train: &[LabeledQuery], target: Target) -> Normalizer {
+    Normalizer::fit(&train.iter().map(|l| target.log_truth(l)).collect::<Vec<_>>())
+}
+
+/// Bit-identical validation history, then bit-identical predictions.
+fn assert_same_run(
+    case: &str,
+    history: &[f64],
+    ref_history: &[f64],
+    valid: &[LabeledQuery],
+    pred: &dyn Estimator,
+    reference: impl Fn(&Query) -> f64,
+) {
+    assert_eq!(history.len(), ref_history.len(), "{case}: epoch count");
+    for (a, b) in history.iter().zip(ref_history) {
+        assert_eq!(a.to_bits(), b.to_bits(), "{case}: validation q-error history diverged");
+    }
+    for lq in valid.iter().take(8) {
+        assert_eq!(
+            pred.predict(&lq.query).to_bits(),
+            reference(&lq.query).to_bits(),
+            "{case}: post-restore predictions diverged"
+        );
     }
 }
 
@@ -139,7 +198,8 @@ fn pretrain_without_schema_matches_legacy_reference_bit_for_bit() {
 }
 
 /// The MSCN fine-tuner against the reference loop: bit-identical
-/// validation q-error history and predictions.
+/// validation q-error history and predictions, with and without the
+/// bitmap sampler, for cardinality and cost.
 #[test]
 fn mscn_finetune_matches_legacy_reference_bit_for_bit() {
     const EPOCHS: usize = 5;
@@ -147,59 +207,38 @@ fn mscn_finetune_matches_legacy_reference_bit_for_bit() {
     let (db, labeled) = setup();
     let (train, rest) = labeled.split_at(60);
     let valid = &rest[..20];
+    let bitmaps = BitmapSampler::new(&db, 32, 1);
 
-    // Production path.
-    let pred = estimation::train_mscn(&db, None, train, valid, Target::Cardinality, EPOCHS, SEED);
+    for (sampler, target) in estimation_cases(&bitmaps) {
+        let case = format!("MSCN {target:?}, sampler {}", sampler.is_some());
+        // Production path.
+        let pred = estimation::train_mscn(&db, sampler, train, valid, target, EPOCHS, SEED);
 
-    // Legacy path: rebuild the identical model/featurizer/normalizer and
-    // run the same closures through the reference loop.
-    let featurizer = MscnFeaturizer::new(&db, 0);
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let model = MscnModel::new(&featurizer, 32, &mut rng);
-    let norm = Normalizer::fit(
-        &train.iter().map(|l| Target::Cardinality.log_truth(l)).collect::<Vec<_>>(),
-    );
-    let feats: Vec<_> = train.iter().map(|l| featurizer.featurize(&db, &l.query, None)).collect();
-    let targets: Vec<f32> =
-        train.iter().map(|l| norm.encode(Target::Cardinality.log_truth(l))).collect();
-    let predict = |model: &MscnModel, q: &Query| -> f64 {
-        let f = featurizer.featurize(&db, q, None);
-        norm.decode(model.forward(&f, &featurizer).value_clone().get(0, 0))
-    };
-    let mut task = FnTask::new("est.mscn", train.len(), model.params(), |idx, _rng| {
-        let p = model.forward(&feats[idx], &featurizer);
-        let loss = ops::huber_loss(&p, &Matrix::full(1, 1, targets[idx]), 1.0);
-        let scalar = f64::from(loss.value_clone().get(0, 0));
-        loss.backward();
-        StepOutput { loss: scalar, ..StepOutput::default() }
-    })
-    .with_eval(|| {
-        valid
-            .iter()
-            .map(|lq| qerror(predict(&model, &lq.query), Target::Cardinality.truth(lq)))
-            .sum::<f64>()
-            / valid.len() as f64
-    });
-    let mut config =
-        TrainerConfig::new(Plan::Epochs { epochs: EPOCHS, chunk: 16, shuffle: false }, 1e-3);
-    config.patience = Some(3);
-    let report = reference::run(&mut task, &config, &mut rng);
+        // Legacy path: rebuild the identical model/featurizer/normalizer
+        // and run the same closures through the reference loop.
+        let featurizer = MscnFeaturizer::new(&db, sampler.map_or(0, BitmapSampler::sample_size));
+        let mut rng = StdRng::seed_from_u64(SEED);
+        let model = MscnModel::new(&featurizer, 32, &mut rng);
+        let norm = log_normalizer(train, target);
+        let feats: Vec<_> =
+            train.iter().map(|l| featurizer.featurize(&db, &l.query, sampler)).collect();
+        let targets: Vec<f32> = train.iter().map(|l| norm.encode(target.log_truth(l))).collect();
+        let predict = |q: &Query| -> f64 {
+            let f = featurizer.featurize(&db, q, sampler);
+            norm.decode(model.forward(&f, &featurizer).value_clone().get(0, 0))
+        };
+        let mut task = FnTask::new("est.mscn", train.len(), model.params(), |idx, _rng| {
+            huber_step(&model.forward(&feats[idx], &featurizer), targets[idx])
+        })
+        .with_eval(|| mean_qerror(valid, target, predict));
+        let report = reference::run(&mut task, &estimation_config(EPOCHS, 16, 1e-3), &mut rng);
 
-    let ref_history = report.val_history();
-    assert_eq!(pred.history.len(), ref_history.len(), "epoch count");
-    for (a, b) in pred.history.iter().zip(&ref_history) {
-        assert_eq!(a.to_bits(), b.to_bits(), "validation q-error history diverged");
-    }
-    for lq in valid.iter().take(8) {
-        assert_eq!(
-            pred.predict(&lq.query).to_bits(),
-            predict(&model, &lq.query).to_bits(),
-            "post-restore predictions diverged"
-        );
+        assert_same_run(&case, &pred.history, &report.val_history(), valid, &pred, predict);
     }
 }
 
-/// The LSTM fine-tuner against the reference loop.
+/// The LSTM fine-tuner against the reference loop, with and without the
+/// bitmap sampler, for cardinality and cost.
 #[test]
 fn lstm_finetune_matches_legacy_reference_bit_for_bit() {
     const EPOCHS: usize = 4;
@@ -207,62 +246,145 @@ fn lstm_finetune_matches_legacy_reference_bit_for_bit() {
     let (db, labeled) = setup();
     let (train, rest) = labeled.split_at(48);
     let valid = &rest[..16];
+    let bitmaps = BitmapSampler::new(&db, 32, 1);
+    let stats = TableStats::analyze(&db);
+    let cost_model = CostModel::default();
 
-    // Production path.
-    let pred = estimation::train_lstm(&db, None, train, valid, Target::Cardinality, EPOCHS, SEED);
+    for (sampler, target) in estimation_cases(&bitmaps) {
+        let case = format!("LSTM {target:?}, sampler {}", sampler.is_some());
+        // Production path.
+        let pred = estimation::train_lstm(&db, sampler, train, valid, target, EPOCHS, SEED);
 
-    // Legacy path. With no sampler and the cardinality target the side
-    // channels are all-zero / empty, exactly as in the fine-tuner.
-    let corpus: Vec<Query> = train.iter().map(|l| l.query.clone()).collect();
-    let vocab = LstmVocab::build(&corpus);
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let model = LstmEstimator::new(&vocab, 24, 32, 0, &mut rng);
-    let norm = Normalizer::fit(
-        &train.iter().map(|l| Target::Cardinality.log_truth(l)).collect::<Vec<_>>(),
-    );
-    let encoded: Vec<_> = train
-        .iter()
-        .map(|l| {
-            let (ids, nums) = vocab.encode(&l.query);
-            let channel = vec![0.0; ids.len()];
-            (ids, nums, channel, norm.encode(Target::Cardinality.log_truth(l)))
+        // Legacy path. The side channels: the per-token table channel and
+        // the pooled sample bits when sampling, plus the optimizer's plan
+        // statistics for the cost target.
+        let plan_dim = if target == Target::Cost { estimation::PLAN_FEATURES } else { 0 };
+        let bitmap_dim = sampler.map_or(0, BitmapSampler::sample_size) + plan_dim;
+        let corpus: Vec<Query> = train.iter().map(|l| l.query.clone()).collect();
+        let vocab = LstmVocab::build(&corpus);
+        let mut rng = StdRng::seed_from_u64(SEED);
+        let model = LstmEstimator::new(&vocab, 24, 32, bitmap_dim, &mut rng);
+        let norm = log_normalizer(train, target);
+        let encode = |q: &Query| {
+            let (ids, nums) = vocab.encode(q);
+            let channel = sampler
+                .map(|s| preqr_baselines::lstm_est::table_channel(&db, s, q))
+                .unwrap_or_else(|| vec![0.0; ids.len()]);
+            let mut bitmap = sampler
+                .map(|s| LstmEstimator::pooled_bitmap(&db, s, q, bitmap_dim))
+                .unwrap_or_default();
+            bitmap.truncate(bitmap_dim - plan_dim);
+            if plan_dim > 0 {
+                bitmap.extend(estimation::plan_features(&db, &stats, &cost_model, q));
+            }
+            (ids, nums, channel, bitmap)
+        };
+        let encoded: Vec<_> = train.iter().map(|l| encode(&l.query)).collect();
+        let targets: Vec<f32> = train.iter().map(|l| norm.encode(target.log_truth(l))).collect();
+        let predict = |q: &Query| -> f64 {
+            let (ids, nums, channel, bitmap) = encode(q);
+            norm.decode(model.forward(&ids, &nums, &channel, Some(&bitmap)).value_clone().get(0, 0))
+        };
+        let mut task = FnTask::new("est.lstm", train.len(), model.params(), |idx, _rng| {
+            let (ids, nums, channel, bitmap) = &encoded[idx];
+            huber_step(&model.forward(ids, nums, channel, Some(bitmap)), targets[idx])
         })
-        .collect();
-    let predict = |q: &Query| -> f64 {
-        let (ids, nums) = vocab.encode(q);
-        let channel = vec![0.0; ids.len()];
-        norm.decode(model.forward(&ids, &nums, &channel, Some(&[])).value_clone().get(0, 0))
-    };
-    let mut task = FnTask::new("est.lstm", train.len(), model.params(), |idx, _rng| {
-        let (ids, nums, channel, t) = &encoded[idx];
-        let p = model.forward(ids, nums, channel, Some(&[]));
-        let loss = ops::huber_loss(&p, &Matrix::full(1, 1, *t), 1.0);
-        let scalar = f64::from(loss.value_clone().get(0, 0));
-        loss.backward();
-        StepOutput { loss: scalar, ..StepOutput::default() }
-    })
-    .with_eval(|| {
-        valid
-            .iter()
-            .map(|lq| qerror(predict(&lq.query), Target::Cardinality.truth(lq)))
-            .sum::<f64>()
-            / valid.len() as f64
-    });
-    let mut config =
-        TrainerConfig::new(Plan::Epochs { epochs: EPOCHS, chunk: 8, shuffle: false }, 1e-3);
-    config.patience = Some(3);
-    let report = reference::run(&mut task, &config, &mut rng);
+        .with_eval(|| mean_qerror(valid, target, predict));
+        let report = reference::run(&mut task, &estimation_config(EPOCHS, 8, 1e-3), &mut rng);
 
-    let ref_history = report.val_history();
-    assert_eq!(pred.history.len(), ref_history.len(), "epoch count");
-    for (a, b) in pred.history.iter().zip(&ref_history) {
-        assert_eq!(a.to_bits(), b.to_bits(), "validation q-error history diverged");
+        assert_same_run(&case, &pred.history, &report.val_history(), valid, &pred, predict);
     }
-    for lq in valid.iter().take(8) {
-        assert_eq!(
-            pred.predict(&lq.query).to_bits(),
-            predict(&lq.query).to_bits(),
-            "post-restore predictions diverged"
+}
+
+/// The PreQR fine-tuner with the bitmap sampler against the reference
+/// loop, for cardinality and cost: the frozen lower layers, the last
+/// `Trm_g` layer and the 3-layer FC head on `[CLS]` ⧺ sum-pooled tokens
+/// ⧺ sample features ⧺ plan statistics, written from public primitives.
+/// Also pins that fine-tuning hands the shared model back with its last
+/// layer at the pre-trained bits.
+#[test]
+fn preqr_finetune_with_sampler_matches_legacy_reference_bit_for_bit() {
+    const EPOCHS: usize = 3;
+    const SEED: u64 = 13;
+    let (db, labeled) = setup();
+    let (train, rest) = labeled.split_at(40);
+    let valid = &rest[..12];
+    let sampler = BitmapSampler::new(&db, 32, 1);
+    let stats = TableStats::analyze(&db);
+    let cost_model = CostModel::default();
+    let corpus = workloads::pretrain_corpus(&db, 30, 7);
+    let buckets = preqr_tasks::setup::value_buckets_from_db(&db, 8);
+    let model = SqlBert::new(&corpus, db.schema(), buckets, PreqrConfig::test());
+    let pretrained: Vec<Matrix> =
+        model.last_layer_params().iter().map(Tensor::value_clone).collect();
+
+    for target in [Target::Cardinality, Target::Cost] {
+        let case = format!("PreQR {target:?}, sampler true");
+        // Production path.
+        let pred = estimation::train_preqr(
+            &db,
+            &model,
+            Some(&sampler),
+            train,
+            valid,
+            target,
+            EPOCHS,
+            SEED,
+            "PreQR",
         );
+        let restored = model.last_layer_params();
+        assert_eq!(restored.len(), pretrained.len(), "{case}: last-layer parameter count");
+        for (i, (p, m)) in restored.iter().zip(&pretrained).enumerate() {
+            let same = p
+                .value_clone()
+                .data()
+                .iter()
+                .zip(m.data())
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "{case}: last-layer param {i} not restored to its pre-trained bits");
+        }
+
+        // Legacy path: the shared model's last layer is fine-tuned in
+        // place together with a fresh head.
+        let nodes = model.cached_nodes();
+        let bitmap_dim = estimation::SAMPLE_FEATURES + estimation::PLAN_FEATURES;
+        let mut rng = StdRng::seed_from_u64(SEED);
+        let head = Mlp::new(&[2 * model.config.output_dim() + bitmap_dim, 64, 32, 1], &mut rng);
+        let norm = log_normalizer(train, target);
+        let lower_and_bits = |q: &Query| {
+            let lower = model.lower_states(&model.prepare(q), nodes.as_ref());
+            let mut bits = estimation::sample_features(&db, &sampler, q);
+            bits.extend(estimation::plan_features(&db, &stats, &cost_model, q));
+            (lower, bits)
+        };
+        let forward = |lower: &Matrix, bits: &[f32]| -> Tensor {
+            let reps = model.last_layer_encode(lower, nodes.as_ref());
+            let cls = ops::gather_rows(&reps, &[0]);
+            let n = reps.shape().0 as f32;
+            let pooled = ops::scale(&ops::mean_rows(&reps), n / 8.0);
+            let side = Tensor::constant(Matrix::from_vec(1, bitmap_dim, bits.to_vec()));
+            head.forward(&ops::concat_cols(&ops::concat_cols(&cls, &pooled), &side))
+        };
+        let cached: Vec<_> = train.iter().map(|l| lower_and_bits(&l.query)).collect();
+        let targets: Vec<f32> = train.iter().map(|l| norm.encode(target.log_truth(l))).collect();
+        let predict = |q: &Query| -> f64 {
+            let (lower, bits) = lower_and_bits(q);
+            norm.decode(forward(&lower, &bits).value_clone().get(0, 0))
+        };
+        let mut params = model.last_layer_params();
+        params.extend(head.params());
+        let mut task = FnTask::new("est.preqr", train.len(), params, |idx, _rng| {
+            let (lower, bits) = &cached[idx];
+            huber_step(&forward(lower, bits), targets[idx])
+        })
+        .with_eval(|| mean_qerror(valid, target, predict));
+        let report = reference::run(&mut task, &estimation_config(EPOCHS, 8, 5e-4), &mut rng);
+
+        assert_same_run(&case, &pred.history, &report.val_history(), valid, &pred, predict);
+
+        // Put the shared model back for the next target.
+        for (p, m) in model.last_layer_params().iter().zip(&pretrained) {
+            p.set_value(m.clone());
+        }
     }
 }
