@@ -12,9 +12,10 @@ use rand::SeedableRng;
 
 use preqr::SqlBert;
 use preqr_baselines::lstm_est::{LstmEstimator, LstmVocab};
-use preqr_baselines::mscn::{MscnFeaturizer, MscnModel};
+use preqr_baselines::mscn::{MscnFeatures, MscnFeaturizer, MscnModel};
 use preqr_baselines::neurocard::SamplingEstimator;
 use preqr_data::workloads::LabeledQuery;
+use preqr_engine::estimator::PlanEstimate;
 use preqr_engine::{BitmapSampler, CostModel, Database, PgEstimator, TableStats};
 use preqr_nn::layers::{Mlp, Module};
 use preqr_nn::{ops, Matrix, Tensor};
@@ -45,6 +46,14 @@ impl Target {
     /// Log-space regression target.
     pub fn log_truth(&self, lq: &LabeledQuery) -> f64 {
         self.truth(lq).max(1.0).log2()
+    }
+
+    /// Table row label: `prefix` + `Card` / `Cost`.
+    fn row_name(&self, prefix: &str) -> String {
+        match self {
+            Target::Cardinality => format!("{prefix}Card"),
+            Target::Cost => format!("{prefix}Cost"),
+        }
     }
 }
 
@@ -106,18 +115,6 @@ pub fn evaluate(est: &dyn Estimator, target: Target, workload: &[LabeledQuery]) 
     QErrorStats::compute(&preds, &truths)
 }
 
-/// Mean validation q-error (early-stopping criterion).
-fn validation_qerror(
-    predict: impl Fn(&LabeledQuery) -> f64,
-    target: Target,
-    valid: &[LabeledQuery],
-) -> f64 {
-    if valid.is_empty() {
-        return f64::INFINITY;
-    }
-    valid.iter().map(|lq| qerror(predict(lq), target.truth(lq))).sum::<f64>() / valid.len() as f64
-}
-
 /// Builds the Trainer configuration every estimation fine-tuner shares:
 /// insertion-order visits (no shuffling), one optimizer step per
 /// `chunk` at a constant learning rate, patience-3 early stopping on the
@@ -141,6 +138,24 @@ fn restore(params: &[Tensor], snap: &[Matrix]) {
     }
 }
 
+/// Walks the PG optimizer's plan for each `SELECT` of `q`, handing
+/// `visit` the plan estimate and its modelled cost over the base tables.
+fn for_each_pg_plan(
+    db: &Database,
+    stats: &TableStats,
+    cost_model: &CostModel,
+    q: &Query,
+    mut visit: impl FnMut(&PlanEstimate, f64),
+) {
+    let est = PgEstimator::new(db, stats);
+    for sel in q.selects() {
+        let Ok(plan) = est.estimate_plan(sel) else { continue };
+        let base: Vec<f64> =
+            sel.tables().iter().map(|t| stats.row_count(&t.table) as f64).collect();
+        visit(&plan, cost_model.plan_cost(&base, &plan.filtered, &plan.joins));
+    }
+}
+
 /// The PostgreSQL baseline (`PGCard` / `PGCost`).
 pub struct PgBaseline<'a> {
     db: &'a Database,
@@ -158,262 +173,19 @@ impl<'a> PgBaseline<'a> {
 
 impl Estimator for PgBaseline<'_> {
     fn name(&self) -> String {
-        match self.target {
-            Target::Cardinality => "PGCard".into(),
-            Target::Cost => "PGCost".into(),
-        }
+        self.target.row_name("PG")
     }
 
     fn predict(&self, q: &Query) -> f64 {
-        let est = PgEstimator::new(self.db, self.stats);
         match self.target {
-            Target::Cardinality => est.estimate(q).unwrap_or(1.0),
+            Target::Cardinality => PgEstimator::new(self.db, self.stats).estimate(q).unwrap_or(1.0),
             Target::Cost => {
                 let mut total = 0.0;
-                for s in q.selects() {
-                    let Ok(plan) = est.estimate_plan(s) else { continue };
-                    let base: Vec<f64> =
-                        s.tables().iter().map(|t| self.stats.row_count(&t.table) as f64).collect();
-                    total += self.cost_model.plan_cost(&base, &plan.filtered, &plan.joins);
-                }
+                for_each_pg_plan(self.db, self.stats, &self.cost_model, q, |_, cost| total += cost);
                 total.max(1.0)
             }
         }
     }
-}
-
-/// Trained MSCN estimator.
-pub struct MscnPredictor<'a> {
-    db: &'a Database,
-    featurizer: MscnFeaturizer,
-    model: MscnModel,
-    sampler: Option<&'a BitmapSampler>,
-    norm: Normalizer,
-    target: Target,
-    /// Mean validation q-error after each epoch (Figure 8).
-    pub history: Vec<f64>,
-}
-
-impl Estimator for MscnPredictor<'_> {
-    fn name(&self) -> String {
-        match self.target {
-            Target::Cardinality => "MSCNCard".into(),
-            Target::Cost => "MSCNCost".into(),
-        }
-    }
-
-    fn predict(&self, q: &Query) -> f64 {
-        let feats = self.featurizer.featurize(self.db, q, self.sampler);
-        let out = self.model.forward(&feats, &self.featurizer).value_clone().get(0, 0);
-        self.norm.decode(out)
-    }
-}
-
-/// Trains the MSCN baseline with validation early stopping.
-pub fn train_mscn<'a>(
-    db: &'a Database,
-    sampler: Option<&'a BitmapSampler>,
-    train: &[LabeledQuery],
-    valid: &[LabeledQuery],
-    target: Target,
-    epochs: usize,
-    seed: u64,
-) -> MscnPredictor<'a> {
-    let _span = obs::span("est.train").field("method", "mscn").field("epochs", epochs);
-    let bits = sampler.map_or(0, BitmapSampler::sample_size);
-    let featurizer = MscnFeaturizer::new(db, bits);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let model = MscnModel::new(&featurizer, 32, &mut rng);
-    let norm = Normalizer::fit(&train.iter().map(|l| target.log_truth(l)).collect::<Vec<_>>());
-    let feats: Vec<_> = train.iter().map(|l| featurizer.featurize(db, &l.query, sampler)).collect();
-    let targets: Vec<f32> = train.iter().map(|l| norm.encode(target.log_truth(l))).collect();
-    let config = estimator_config(epochs, 16, 1e-3, !valid.is_empty());
-    // Scoped so the task's borrows of the model end before it is moved
-    // into the predictor.
-    let report = {
-        let mut task = FnTask::new("est.mscn", train.len(), model.params(), |idx, _rng| {
-            let pred = model.forward(&feats[idx], &featurizer);
-            let loss = ops::huber_loss(&pred, &Matrix::full(1, 1, targets[idx]), 1.0);
-            let scalar = f64::from(loss.value_clone().get(0, 0));
-            loss.backward();
-            StepOutput { loss: scalar, ..StepOutput::default() }
-        })
-        .with_eval(|| {
-            validation_qerror(
-                |lq| {
-                    let f = featurizer.featurize(db, &lq.query, sampler);
-                    norm.decode(model.forward(&f, &featurizer).value_clone().get(0, 0))
-                },
-                target,
-                valid,
-            )
-        });
-        Trainer::new(config).fit(&mut task, &mut rng)
-    };
-    let history = report.val_history();
-    MscnPredictor { db, featurizer, model, sampler, norm, target, history }
-}
-
-/// Trained LSTM estimator.
-pub struct LstmPredictor<'a> {
-    db: &'a Database,
-    vocab: LstmVocab,
-    model: LstmEstimator,
-    sampler: Option<&'a BitmapSampler>,
-    bitmap_dim: usize,
-    norm: Normalizer,
-    target: Target,
-    stats: TableStats,
-    cost_model: CostModel,
-    /// Mean validation q-error after each epoch (Figure 8).
-    pub history: Vec<f64>,
-}
-
-impl Estimator for LstmPredictor<'_> {
-    fn name(&self) -> String {
-        match self.target {
-            Target::Cardinality => "LSTMCard".into(),
-            Target::Cost => "LSTMCost".into(),
-        }
-    }
-
-    fn predict(&self, q: &Query) -> f64 {
-        let (ids, nums) = self.vocab.encode(q);
-        let channel = self
-            .sampler
-            .map(|s| preqr_baselines::lstm_est::table_channel(self.db, s, q))
-            .unwrap_or_else(|| vec![0.0; ids.len()]);
-        let plan_dim = if self.target == Target::Cost { PLAN_FEATURES } else { 0 };
-        let mut bitmap = self
-            .sampler
-            .map(|s| LstmEstimator::pooled_bitmap(self.db, s, q, self.bitmap_dim))
-            .unwrap_or_default();
-        bitmap.truncate(self.bitmap_dim - plan_dim);
-        if plan_dim > 0 {
-            bitmap.extend(plan_features(self.db, &self.stats, &self.cost_model, q));
-        }
-        let out = self.model.forward(&ids, &nums, &channel, Some(&bitmap)).value_clone().get(0, 0);
-        self.norm.decode(out)
-    }
-}
-
-/// Trains the LSTM baseline.
-pub fn train_lstm<'a>(
-    db: &'a Database,
-    sampler: Option<&'a BitmapSampler>,
-    train: &[LabeledQuery],
-    valid: &[LabeledQuery],
-    target: Target,
-    epochs: usize,
-    seed: u64,
-) -> LstmPredictor<'a> {
-    let _span = obs::span("est.train").field("method", "lstm").field("epochs", epochs);
-    let corpus: Vec<Query> = train.iter().map(|l| l.query.clone()).collect();
-    let vocab = LstmVocab::build(&corpus);
-    // The LSTM baseline's form of the bitmap trick (§4.3.2): the raw
-    // pooled sample bits appended to the encoder state, plus — for the
-    // cost task, whose original (plan-level) formulation consumes the
-    // optimizer's per-node estimates — the plan statistics.
-    let use_plan = target == Target::Cost;
-    let plan_dim = if use_plan { PLAN_FEATURES } else { 0 };
-    let bitmap_dim = sampler.map_or(0, BitmapSampler::sample_size) + plan_dim;
-    let table_stats = TableStats::analyze(db);
-    let cost_model = CostModel::default();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let model = LstmEstimator::new(&vocab, 24, 32, bitmap_dim, &mut rng);
-    let norm = Normalizer::fit(&train.iter().map(|l| target.log_truth(l)).collect::<Vec<_>>());
-    let encoded: Vec<_> = train
-        .iter()
-        .map(|l| {
-            let (ids, nums) = vocab.encode(&l.query);
-            let channel = sampler
-                .map(|s| preqr_baselines::lstm_est::table_channel(db, s, &l.query))
-                .unwrap_or_else(|| vec![0.0; ids.len()]);
-            let mut bitmap = sampler
-                .map(|s| LstmEstimator::pooled_bitmap(db, s, &l.query, bitmap_dim))
-                .unwrap_or_default();
-            bitmap.truncate(bitmap_dim - plan_dim);
-            if use_plan {
-                bitmap.extend(plan_features(db, &table_stats, &cost_model, &l.query));
-            }
-            (ids, nums, channel, bitmap, norm.encode(target.log_truth(l)))
-        })
-        .collect();
-    let config = estimator_config(epochs, 8, 1e-3, !valid.is_empty());
-    // Scoped so the task's borrows of the model end before it is moved
-    // into the predictor.
-    let report = {
-        let mut task = FnTask::new("est.lstm", train.len(), model.params(), |idx, _rng| {
-            let (ids, nums, channel, bitmap, t) = &encoded[idx];
-            let pred = model.forward(ids, nums, channel, Some(bitmap));
-            let loss = ops::huber_loss(&pred, &Matrix::full(1, 1, *t), 1.0);
-            let scalar = f64::from(loss.value_clone().get(0, 0));
-            loss.backward();
-            StepOutput { loss: scalar, ..StepOutput::default() }
-        })
-        .with_eval(|| {
-            validation_qerror(
-                |lq| {
-                    let (ids, nums) = vocab.encode(&lq.query);
-                    let channel = sampler
-                        .map(|s| preqr_baselines::lstm_est::table_channel(db, s, &lq.query))
-                        .unwrap_or_else(|| vec![0.0; ids.len()]);
-                    let mut bitmap = sampler
-                        .map(|s| LstmEstimator::pooled_bitmap(db, s, &lq.query, bitmap_dim))
-                        .unwrap_or_default();
-                    bitmap.truncate(bitmap_dim - plan_dim);
-                    if use_plan {
-                        bitmap.extend(plan_features(db, &table_stats, &cost_model, &lq.query));
-                    }
-                    norm.decode(
-                        model.forward(&ids, &nums, &channel, Some(&bitmap)).value_clone().get(0, 0),
-                    )
-                },
-                target,
-                valid,
-            )
-        });
-        Trainer::new(config).fit(&mut task, &mut rng)
-    };
-    let history = report.val_history();
-    LstmPredictor {
-        db,
-        vocab,
-        model,
-        sampler,
-        bitmap_dim,
-        norm,
-        target,
-        stats: table_stats,
-        cost_model,
-        history,
-    }
-}
-
-/// Trained PreQR estimator: frozen lower layers + fine-tuned last
-/// `Trm_g` layer + a 3-layer FC head on the `[CLS]` representation
-/// (⧺ pooled bitmap when sampling is enabled).
-pub struct PreqrPredictor<'a> {
-    db: &'a Database,
-    model: &'a SqlBert,
-    head: Mlp,
-    nodes: Option<Tensor>,
-    sampler: Option<&'a BitmapSampler>,
-    bitmap_dim: usize,
-    norm: Normalizer,
-    /// The trained target (kept for introspection by harness code).
-    pub target: Target,
-    /// This predictor's own fine-tuned last-layer weights. The model is
-    /// shared between predictors (e.g. the cardinality head and the
-    /// NeuroCard-correction head), so each predictor swaps its weights in
-    /// around every forward pass.
-    layer_weights: Vec<Matrix>,
-    stats: TableStats,
-    cost_model: CostModel,
-    /// Row label (PreQRCard / BERTCard / PreQRNT… set by the caller).
-    pub label: String,
-    /// Mean validation q-error after each epoch (Figure 8).
-    pub history: Vec<f64>,
 }
 
 /// Width of the aggregated bitmap-sampling feature block.
@@ -423,14 +195,18 @@ pub const SAMPLE_FEATURES: usize = 8;
 /// slot-free aggregates over the per-binding sample bitmaps, so they
 /// extrapolate to join counts beyond the fine-tuning workload —
 /// `Σ log2 |T|`, `Σ log2(|T|·sel)`, `Σ sel`, `min sel`, `#tables`,
-/// `#joins`. (MSCN receives the same information as per-table raw
-/// bitmaps attached to its table one-hot sets.)
+/// `#joins`, and for cost (intermediate result sizes scale with these)
+/// `log2 Σ |T|·sel` and `max log2(|T|·sel)`. (MSCN receives the same
+/// information as per-table raw bitmaps attached to its table one-hot
+/// sets.)
 pub fn sample_features(db: &Database, sampler: &BitmapSampler, q: &Query) -> Vec<f32> {
     let tables = q.body.tables();
     let mut sum_log_rows = 0.0f64;
     let mut sum_log_sel_rows = 0.0f64;
     let mut sum_frac = 0.0f64;
     let mut min_frac = 1.0f64;
+    let mut sum_sel_rows = 0.0f64;
+    let mut max_log_sel_rows = 0.0f64;
     for (bi, t) in tables.iter().enumerate() {
         let rows = db.row_count(&t.table) as f64;
         let frac = sampler.selectivity(db, q, bi).unwrap_or(0.0);
@@ -438,15 +214,6 @@ pub fn sample_features(db: &Database, sampler: &BitmapSampler, q: &Query) -> Vec
         sum_log_sel_rows += (rows * frac).max(1.0).log2();
         sum_frac += frac;
         min_frac = min_frac.min(frac);
-    }
-    let njoins = preqr_data::workloads::num_joins(q) as f64;
-    // Cost-relevant aggregates: total and largest per-table filtered
-    // sizes (intermediate result sizes scale with these).
-    let mut sum_sel_rows = 0.0f64;
-    let mut max_log_sel_rows = 0.0f64;
-    for (bi, t) in tables.iter().enumerate() {
-        let rows = db.row_count(&t.table) as f64;
-        let frac = sampler.selectivity(db, q, bi).unwrap_or(0.0);
         sum_sel_rows += rows * frac;
         max_log_sel_rows = max_log_sel_rows.max((rows * frac).max(1.0).log2());
     }
@@ -456,7 +223,7 @@ pub fn sample_features(db: &Database, sampler: &BitmapSampler, q: &Query) -> Vec
         sum_frac as f32,
         min_frac as f32,
         tables.len() as f32,
-        njoins as f32,
+        preqr_data::workloads::num_joins(q) as f32,
         sum_sel_rows.max(1.0).log2() as f32,
         max_log_sel_rows as f32,
     ]
@@ -476,20 +243,16 @@ pub fn plan_features(
     cost_model: &CostModel,
     q: &Query,
 ) -> Vec<f32> {
-    let est = PgEstimator::new(db, stats);
     let mut total = 0.0f64;
     let mut filtered = 0.0f64;
     let mut joins = 0.0f64;
     let mut cost = 0.0f64;
-    for sel in q.selects() {
-        let Ok(plan) = est.estimate_plan(sel) else { continue };
+    for_each_pg_plan(db, stats, cost_model, q, |plan, plan_cost| {
         total += plan.total;
         filtered += plan.filtered.iter().sum::<f64>();
         joins += plan.joins.iter().sum::<f64>();
-        let base: Vec<f64> =
-            sel.tables().iter().map(|t| stats.row_count(&t.table) as f64).collect();
-        cost += cost_model.plan_cost(&base, &plan.filtered, &plan.joins);
-    }
+        cost += plan_cost;
+    });
     vec![
         total.max(1.0).log2() as f32,
         filtered.max(1.0).log2() as f32,
@@ -498,54 +261,358 @@ pub fn plan_features(
     ]
 }
 
-/// The head input: `[CLS]` row ⧺ *sum*-pooled token rows ⧺ the sample
-/// features when sampling is enabled. Sum pooling (not mean) keeps the
-/// representation additive in the query's tokens, so log-cardinality —
-/// which grows roughly additively with each join — extrapolates to join
-/// counts beyond the fine-tuning workload (the Scale/JOB-light
-/// generalization the paper tests).
-fn preqr_features(reps: &Tensor, bits: &[f32], bitmap_dim: usize) -> Tensor {
-    let cls = ops::gather_rows(reps, &[0]);
-    let n = reps.shape().0 as f32;
-    let pooled = ops::scale(&ops::mean_rows(reps), n / 8.0);
-    let x = ops::concat_cols(&cls, &pooled);
-    if bitmap_dim > 0 {
-        let mut padded = vec![0.0f32; bitmap_dim];
-        padded[..bits.len().min(bitmap_dim)].copy_from_slice(&bits[..bits.len().min(bitmap_dim)]);
-        ops::concat_cols(&x, &Tensor::constant(Matrix::from_vec(1, bitmap_dim, padded)))
-    } else {
-        x
-    }
+/// A learned estimator as the one fit path sees it: how it featurizes a
+/// query, and how it maps those features to a normalized prediction.
+/// Features are a pure function of the query (sampler bits, plan
+/// statistics, PreQR's frozen lower states), so [`fit`] computes them
+/// once per training and validation query, and prediction reuses the
+/// same featurizer.
+trait Model {
+    /// Trainer task name.
+    const TASK: &'static str;
+    /// Examples per optimizer step.
+    const CHUNK: usize;
+    /// Constant learning rate.
+    const LR: f32;
+    /// The cached per-query input of [`Model::forward`].
+    type Features;
+
+    /// The trained parameters.
+    fn params(&self) -> Vec<Tensor>;
+    /// The model's input for `q`.
+    fn featurize(&self, q: &Query) -> Self::Features;
+    /// `1 × 1` normalized prediction.
+    fn forward(&self, f: &Self::Features) -> Tensor;
+    /// Runs once after training, with the best weights restored.
+    fn trained(&mut self) {}
 }
 
-impl PreqrPredictor<'_> {
-    fn features(&self, q: &Query) -> Tensor {
-        let live = self.model.last_layer_params();
-        let current = snapshot(&live);
-        restore(&live, &self.layer_weights);
-        let pq = self.model.prepare(q);
-        let lower = self.model.lower_states(&pq, self.nodes.as_ref());
-        let reps = self.model.last_layer_encode(&lower, self.nodes.as_ref());
-        restore(&live, &current);
-        let mut bits = self.sampler.map(|s| sample_features(self.db, s, q)).unwrap_or_default();
-        bits.extend(plan_features(self.db, &self.stats, &self.cost_model, q));
-        preqr_features(&reps, &bits, self.bitmap_dim)
-    }
+/// A fitted learned estimator: MSCN, LSTM, PreQR, or the PreQR
+/// correction of NeuroCard.
+pub struct Predictor<'a> {
+    name: String,
+    predict: Box<dyn Fn(&Query) -> f64 + 'a>,
+    /// Mean validation q-error after each epoch (Figure 8).
+    pub history: Vec<f64>,
 }
 
-impl Estimator for PreqrPredictor<'_> {
+impl Estimator for Predictor<'_> {
     fn name(&self) -> String {
-        self.label.clone()
+        self.name.clone()
     }
 
     fn predict(&self, q: &Query) -> f64 {
-        let out = self.head.forward(&self.features(q)).value_clone().get(0, 0);
-        self.norm.decode(out)
+        (self.predict)(q)
+    }
+}
+
+/// NeuroCard's estimate (clamped ≥ 1) for a residual model's query.
+fn base_estimate(base: Option<&NeuroCardPredictor>, q: &Query) -> Option<f64> {
+    base.map(|b| b.predict(q).max(1.0))
+}
+
+/// The raw estimate from features: the decoded head output, or, for a
+/// residual model, the base estimate corrected by it.
+fn estimate<M: Model>(model: &M, norm: &Normalizer, f: &M::Features, base: Option<f64>) -> f64 {
+    let decoded = norm.decode(model.forward(f).value_clone().get(0, 0));
+    match base {
+        None => decoded,
+        Some(base) => (base * decoded).max(1.0),
+    }
+}
+
+/// The one fine-tuning path. Builds the model from the seeded RNG,
+/// featurizes the training and validation queries once, fits the
+/// [`Normalizer`] on the log targets, trains with one Huber step per
+/// example and validation early stopping, and returns a predictor that
+/// reuses the model's featurizer.
+///
+/// With a `base` estimator the model learns the residual instead: its
+/// log target is `log2(truth / base)` (ratio clamped ≥ 1e-6), and
+/// validation judges the corrected estimate against the truth.
+#[allow(clippy::too_many_arguments)]
+fn fit<'a, M: Model + 'a>(
+    method: &str,
+    name: String,
+    build: impl FnOnce(&mut StdRng) -> M,
+    base: Option<NeuroCardPredictor<'a>>,
+    train: &[LabeledQuery],
+    valid: &[LabeledQuery],
+    target: Target,
+    epochs: usize,
+    seed: u64,
+) -> Predictor<'a> {
+    let _span = obs::span("est.train").field("method", method).field("epochs", epochs);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut model = build(&mut rng);
+    let log_targets: Vec<f64> = train
+        .iter()
+        .map(|lq| match base_estimate(base.as_ref(), &lq.query) {
+            None => target.log_truth(lq),
+            Some(b) => (target.truth(lq) / b).max(1e-6).log2(),
+        })
+        .collect();
+    let norm = Normalizer::fit(&log_targets);
+    let train_set: Vec<(M::Features, f32)> = train
+        .iter()
+        .zip(&log_targets)
+        .map(|(lq, &t)| (model.featurize(&lq.query), norm.encode(t)))
+        .collect();
+    let valid_set: Vec<(M::Features, Option<f64>)> = valid
+        .iter()
+        .map(|lq| (model.featurize(&lq.query), base_estimate(base.as_ref(), &lq.query)))
+        .collect();
+    let config = estimator_config(epochs, M::CHUNK, M::LR, !valid.is_empty());
+    // Scoped so the task's borrows of the model end before it moves into
+    // the predictor.
+    let report = {
+        let mut task = FnTask::new(M::TASK, train.len(), model.params(), |idx, _rng| {
+            let (f, t) = &train_set[idx];
+            let loss = ops::huber_loss(&model.forward(f), &Matrix::full(1, 1, *t), 1.0);
+            let scalar = f64::from(loss.value_clone().get(0, 0));
+            loss.backward();
+            StepOutput { loss: scalar, ..StepOutput::default() }
+        })
+        .with_eval(|| {
+            if valid.is_empty() {
+                return f64::INFINITY;
+            }
+            valid
+                .iter()
+                .zip(&valid_set)
+                .map(|(lq, (f, b))| qerror(estimate(&model, &norm, f, *b), target.truth(lq)))
+                .sum::<f64>()
+                / valid.len() as f64
+        });
+        Trainer::new(config).fit(&mut task, &mut rng)
+    };
+    model.trained();
+    let predict = move |q: &Query| {
+        estimate(&model, &norm, &model.featurize(q), base_estimate(base.as_ref(), q))
+    };
+    Predictor { name, predict: Box::new(predict), history: report.val_history() }
+}
+
+/// MSCN: one-hot table/join/predicate sets (⧺ per-table sample bitmaps).
+struct Mscn<'a> {
+    db: &'a Database,
+    sampler: Option<&'a BitmapSampler>,
+    featurizer: MscnFeaturizer,
+    model: MscnModel,
+}
+
+impl Model for Mscn<'_> {
+    const TASK: &'static str = "est.mscn";
+    const CHUNK: usize = 16;
+    const LR: f32 = 1e-3;
+    type Features = MscnFeatures;
+
+    fn params(&self) -> Vec<Tensor> {
+        self.model.params()
+    }
+
+    fn featurize(&self, q: &Query) -> MscnFeatures {
+        self.featurizer.featurize(self.db, q, self.sampler)
+    }
+
+    fn forward(&self, f: &MscnFeatures) -> Tensor {
+        self.model.forward(f, &self.featurizer)
+    }
+}
+
+/// Trains the MSCN baseline with validation early stopping.
+pub fn train_mscn<'a>(
+    db: &'a Database,
+    sampler: Option<&'a BitmapSampler>,
+    train: &[LabeledQuery],
+    valid: &[LabeledQuery],
+    target: Target,
+    epochs: usize,
+    seed: u64,
+) -> Predictor<'a> {
+    let build = |rng: &mut StdRng| {
+        let featurizer = MscnFeaturizer::new(db, sampler.map_or(0, BitmapSampler::sample_size));
+        let model = MscnModel::new(&featurizer, 32, rng);
+        Mscn { db, sampler, featurizer, model }
+    };
+    fit("mscn", target.row_name("MSCN"), build, None, train, valid, target, epochs, seed)
+}
+
+/// The LSTM baseline's token ids, numeric values, per-token table
+/// channel and side vector (pooled sample bits ⧺ plan statistics).
+type LstmFeatures = (Vec<usize>, Vec<f32>, Vec<f32>, Vec<f32>);
+
+/// The LSTM baseline with its form of the bitmap trick (§4.3.2): the raw
+/// pooled sample bits appended to the encoder state, plus — for the cost
+/// task, whose original (plan-level) formulation consumes the
+/// optimizer's per-node estimates — the plan statistics.
+struct Lstm<'a> {
+    db: &'a Database,
+    sampler: Option<&'a BitmapSampler>,
+    vocab: LstmVocab,
+    model: LstmEstimator,
+    /// Width of the side vector.
+    side_dim: usize,
+    /// Plan-statistics input (cost target only).
+    plan: Option<(TableStats, CostModel)>,
+}
+
+impl Model for Lstm<'_> {
+    const TASK: &'static str = "est.lstm";
+    const CHUNK: usize = 8;
+    const LR: f32 = 1e-3;
+    type Features = LstmFeatures;
+
+    fn params(&self) -> Vec<Tensor> {
+        self.model.params()
+    }
+
+    fn featurize(&self, q: &Query) -> LstmFeatures {
+        let (ids, nums) = self.vocab.encode(q);
+        let channel = self
+            .sampler
+            .map(|s| preqr_baselines::lstm_est::table_channel(self.db, s, q))
+            .unwrap_or_else(|| vec![0.0; ids.len()]);
+        let mut side = self
+            .sampler
+            .map(|s| LstmEstimator::pooled_bitmap(self.db, s, q, self.side_dim))
+            .unwrap_or_default();
+        if let Some((stats, cost_model)) = &self.plan {
+            side.truncate(self.side_dim - PLAN_FEATURES);
+            side.extend(plan_features(self.db, stats, cost_model, q));
+        }
+        (ids, nums, channel, side)
+    }
+
+    fn forward(&self, (ids, nums, channel, side): &LstmFeatures) -> Tensor {
+        self.model.forward(ids, nums, channel, Some(side))
+    }
+}
+
+/// Trains the LSTM baseline.
+pub fn train_lstm<'a>(
+    db: &'a Database,
+    sampler: Option<&'a BitmapSampler>,
+    train: &[LabeledQuery],
+    valid: &[LabeledQuery],
+    target: Target,
+    epochs: usize,
+    seed: u64,
+) -> Predictor<'a> {
+    let build = |rng: &mut StdRng| {
+        let corpus: Vec<Query> = train.iter().map(|l| l.query.clone()).collect();
+        let vocab = LstmVocab::build(&corpus);
+        let plan =
+            (target == Target::Cost).then(|| (TableStats::analyze(db), CostModel::default()));
+        let plan_dim = if plan.is_some() { PLAN_FEATURES } else { 0 };
+        let side_dim = sampler.map_or(0, BitmapSampler::sample_size) + plan_dim;
+        let model = LstmEstimator::new(&vocab, 24, 32, side_dim, rng);
+        Lstm { db, sampler, vocab, model, side_dim, plan }
+    };
+    fit("lstm", target.row_name("LSTM"), build, None, train, valid, target, epochs, seed)
+}
+
+/// PreQR fine-tuned for estimation (§4.3.2): frozen lower layers, the
+/// last `Trm_g` layer and a 3-layer FC head on the `[CLS]` row ⧺
+/// sum-pooled token rows ⧺ the sample features (when sampling) ⧺ the
+/// plan statistics.
+struct Preqr<'a> {
+    db: &'a Database,
+    sampler: Option<&'a BitmapSampler>,
+    model: &'a SqlBert,
+    nodes: Option<Tensor>,
+    head: Mlp,
+    stats: TableStats,
+    cost_model: CostModel,
+    /// The shared model's pre-trained last layer. Training updates the
+    /// shared layer in place; [`Model::trained`] then keeps the result in
+    /// `tuned` and hands the shared layer back at these weights, so
+    /// successive fine-tunings all start from the same pre-trained state.
+    pretrained: Vec<Matrix>,
+    /// This predictor's own fine-tuned last layer, swapped in around
+    /// every forward after training: the model is shared between
+    /// predictors (e.g. the cardinality head and the NeuroCard correction).
+    tuned: Option<Vec<Matrix>>,
+}
+
+impl<'a> Preqr<'a> {
+    fn new(
+        db: &'a Database,
+        model: &'a SqlBert,
+        sampler: Option<&'a BitmapSampler>,
+        rng: &mut StdRng,
+    ) -> Self {
+        let side_dim = sampler.map_or(0, |_| SAMPLE_FEATURES) + PLAN_FEATURES;
+        let head = Mlp::new(&[2 * model.config.output_dim() + side_dim, 64, 32, 1], rng);
+        Self {
+            db,
+            sampler,
+            model,
+            nodes: model.cached_nodes(),
+            head,
+            stats: TableStats::analyze(db),
+            cost_model: CostModel::default(),
+            pretrained: snapshot(&model.last_layer_params()),
+            tuned: None,
+        }
+    }
+}
+
+impl Model for Preqr<'_> {
+    const TASK: &'static str = "est.preqr";
+    const CHUNK: usize = 8;
+    const LR: f32 = 5e-4;
+    /// The frozen lower-layer states and the side vector.
+    type Features = (Matrix, Vec<f32>);
+
+    fn params(&self) -> Vec<Tensor> {
+        let mut params = self.model.last_layer_params();
+        params.extend(self.head.params());
+        params
+    }
+
+    fn featurize(&self, q: &Query) -> (Matrix, Vec<f32>) {
+        let lower = self.model.lower_states(&self.model.prepare(q), self.nodes.as_ref());
+        let mut side = self.sampler.map(|s| sample_features(self.db, s, q)).unwrap_or_default();
+        side.extend(plan_features(self.db, &self.stats, &self.cost_model, q));
+        (lower, side)
+    }
+
+    /// Sum pooling (not mean) keeps the representation additive in the
+    /// query's tokens, so log-cardinality — which grows roughly
+    /// additively with each join — extrapolates to join counts beyond the
+    /// fine-tuning workload (the Scale/JOB-light generalization the paper
+    /// tests).
+    fn forward(&self, (lower, side): &(Matrix, Vec<f32>)) -> Tensor {
+        let encode = || self.model.last_layer_encode(lower, self.nodes.as_ref());
+        let reps = match &self.tuned {
+            None => encode(),
+            Some(tuned) => {
+                let live = self.model.last_layer_params();
+                let current = snapshot(&live);
+                restore(&live, tuned);
+                let reps = encode();
+                restore(&live, &current);
+                reps
+            }
+        };
+        let cls = ops::gather_rows(&reps, &[0]);
+        let n = reps.shape().0 as f32;
+        let pooled = ops::scale(&ops::mean_rows(&reps), n / 8.0);
+        let side = Tensor::constant(Matrix::from_vec(1, side.len(), side.clone()));
+        self.head.forward(&ops::concat_cols(&ops::concat_cols(&cls, &pooled), &side))
+    }
+
+    fn trained(&mut self) {
+        let live = self.model.last_layer_params();
+        self.tuned = Some(snapshot(&live));
+        restore(&live, &self.pretrained);
     }
 }
 
 /// Fine-tunes PreQR for an estimation target: trains the last SQLBERT
-/// layer together with the FC head (§4.3.2).
+/// layer together with the FC head (§4.3.2). `label` is the row label
+/// (PreQRCard / BERTCard / PreQRNT…).
 #[allow(clippy::too_many_arguments)]
 pub fn train_preqr<'a>(
     db: &'a Database,
@@ -557,85 +624,9 @@ pub fn train_preqr<'a>(
     epochs: usize,
     seed: u64,
     label: &str,
-) -> PreqrPredictor<'a> {
-    let _span = obs::span("est.train").field("method", label).field("epochs", epochs);
-    let nodes = model.cached_nodes();
-    // The shared model's last layer is trained here but restored before
-    // returning, so successive fine-tunings all start from the same
-    // pre-trained state.
-    let pretrained_layer = snapshot(&model.last_layer_params());
-    let bitmap_dim =
-        if sampler.is_some() { SAMPLE_FEATURES + PLAN_FEATURES } else { PLAN_FEATURES };
-    let in_dim = 2 * model.config.output_dim() + bitmap_dim;
-    let table_stats = TableStats::analyze(db);
-    let cost_model = CostModel::default();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let head = Mlp::new(&[in_dim, 64, 32, 1], &mut rng);
-    let norm = Normalizer::fit(&train.iter().map(|l| target.log_truth(l)).collect::<Vec<_>>());
-    // Cache the frozen lower-layer states and bitmaps once.
-    let cached: Vec<(Matrix, Vec<f32>, f32)> = train
-        .iter()
-        .map(|l| {
-            let pq = model.prepare(&l.query);
-            let lower = model.lower_states(&pq, nodes.as_ref());
-            let mut bits = sampler.map(|s| sample_features(db, s, &l.query)).unwrap_or_default();
-            bits.extend(plan_features(db, &table_stats, &cost_model, &l.query));
-            (lower, bits, norm.encode(target.log_truth(l)))
-        })
-        .collect();
-    // Fine-tune the last SQLBERT layer together with the head (§4.3.2).
-    let mut params = model.last_layer_params();
-    params.extend(head.params());
-    let forward = |lower: &Matrix, bits: &[f32]| -> Tensor {
-        let reps = model.last_layer_encode(lower, nodes.as_ref());
-        head.forward(&preqr_features(&reps, bits, bitmap_dim))
-    };
-    let config = estimator_config(epochs, 8, 5e-4, !valid.is_empty());
-    // Scoped so the task's borrows of the head/nodes end before they are
-    // moved into the predictor.
-    let report = {
-        let mut task = FnTask::new("est.preqr", train.len(), params, |idx, _rng| {
-            let (lower, bits, t) = &cached[idx];
-            let pred = forward(lower, bits);
-            let loss = ops::huber_loss(&pred, &Matrix::full(1, 1, *t), 1.0);
-            let scalar = f64::from(loss.value_clone().get(0, 0));
-            loss.backward();
-            StepOutput { loss: scalar, ..StepOutput::default() }
-        })
-        .with_eval(|| {
-            validation_qerror(
-                |lq| {
-                    let pq = model.prepare(&lq.query);
-                    let lower = model.lower_states(&pq, nodes.as_ref());
-                    let mut bits =
-                        sampler.map(|s| sample_features(db, s, &lq.query)).unwrap_or_default();
-                    bits.extend(plan_features(db, &table_stats, &cost_model, &lq.query));
-                    norm.decode(forward(&lower, &bits).value_clone().get(0, 0))
-                },
-                target,
-                valid,
-            )
-        });
-        Trainer::new(config).fit(&mut task, &mut rng)
-    };
-    let history = report.val_history();
-    let layer_weights = snapshot(&model.last_layer_params());
-    restore(&model.last_layer_params(), &pretrained_layer);
-    PreqrPredictor {
-        db,
-        model,
-        head,
-        nodes,
-        sampler,
-        bitmap_dim,
-        norm,
-        target,
-        layer_weights,
-        stats: table_stats,
-        cost_model,
-        label: label.to_string(),
-        history,
-    }
+) -> Predictor<'a> {
+    let build = |rng: &mut StdRng| Preqr::new(db, model, sampler, rng);
+    fit(label, label.to_string(), build, None, train, valid, target, epochs, seed)
 }
 
 /// The NeuroCard-style data-driven estimator (cardinality only).
@@ -660,29 +651,9 @@ impl Estimator for NeuroCardPredictor<'_> {
     }
 }
 
-/// NeuroCard + PreQR error correction (§4.5.1): a PreQR-headed model
-/// learns the *residual* between NeuroCard's estimate and the truth.
-pub struct CorrectedPredictor<'a> {
-    base: NeuroCardPredictor<'a>,
-    correction: PreqrPredictor<'a>,
-}
-
-impl Estimator for CorrectedPredictor<'_> {
-    fn name(&self) -> String {
-        "NeuroCard+PreQR".into()
-    }
-
-    fn predict(&self, q: &Query) -> f64 {
-        let base = self.base.predict(q).max(1.0);
-        // The correction head was trained on residual targets; its decode
-        // returns 2^(log-residual + μ) — multiply onto the base estimate.
-        let residual = self.correction.predict(q);
-        (base * residual).max(1.0)
-    }
-}
-
-/// Trains the NeuroCard+PreQR error-correction model: the head's target
-/// is `truth / neurocard_estimate` in log space.
+/// Trains NeuroCard + PreQR error correction (§4.5.1): a PreQR-headed
+/// model learns the residual `log2(truth / neurocard_estimate)`, and its
+/// decoded output multiplies NeuroCard's estimate.
 #[allow(clippy::too_many_arguments)]
 pub fn train_corrected<'a>(
     db: &'a Database,
@@ -693,43 +664,12 @@ pub fn train_corrected<'a>(
     nc_samples: usize,
     epochs: usize,
     seed: u64,
-) -> CorrectedPredictor<'a> {
+) -> Predictor<'a> {
+    let name = "NeuroCard+PreQR";
     let base = NeuroCardPredictor::new(db, nc_samples, seed);
-    let residual_of = |lq: &LabeledQuery| -> LabeledQuery {
-        let est = base.predict(&lq.query).max(1.0);
-        let ratio = (lq.card as f64 / est).max(1e-6);
-        LabeledQuery {
-            query: lq.query.clone(),
-            // Reuse the cardinality channel to carry the ratio target;
-            // clamped ≥1 semantics don't apply to ratios, so shift into
-            // positive range via scaling by 2^20 and decode-side inverse.
-            card: ((ratio * (1 << 20) as f64) as u64).max(1),
-            cost: lq.cost,
-            num_joins: lq.num_joins,
-        }
-    };
-    let train_res: Vec<LabeledQuery> = train.iter().map(residual_of).collect();
-    let valid_res: Vec<LabeledQuery> = valid.iter().map(residual_of).collect();
-    let mut correction = train_preqr(
-        db,
-        model,
-        sampler,
-        &train_res,
-        &valid_res,
-        Target::Cardinality,
-        epochs,
-        seed,
-        "NeuroCard+PreQR",
-    );
-    // Fold the 2^20 shift into the normalizer by adjusting its decode
-    // through a wrapper mean shift.
-    correction.norm = Normalizer {
-        mean: correction.norm.mean - 20.0,
-        std: correction.norm.std,
-        lo: correction.norm.lo - 20.0,
-        hi: correction.norm.hi - 20.0,
-    };
-    CorrectedPredictor { base, correction }
+    let build = |rng: &mut StdRng| Preqr::new(db, model, sampler, rng);
+    let target = Target::Cardinality;
+    fit(name, name.to_string(), build, Some(base), train, valid, target, epochs, seed)
 }
 
 #[cfg(test)]
@@ -845,6 +785,44 @@ mod tests {
         let stats = evaluate(&pred, Target::Cardinality, test);
         assert!(stats.mean.is_finite() && stats.mean >= 1.0);
         assert_eq!(pred.name(), "PreQRCard");
+    }
+
+    /// A one-parameter model: a learned constant.
+    struct Constant(Tensor);
+
+    impl Model for Constant {
+        const TASK: &'static str = "est.constant";
+        const CHUNK: usize = 4;
+        const LR: f32 = 1e-2;
+        type Features = ();
+
+        fn params(&self) -> Vec<Tensor> {
+            vec![self.0.clone()]
+        }
+
+        fn featurize(&self, _q: &Query) {}
+
+        fn forward(&self, _f: &()) -> Tensor {
+            ops::scale(&self.0, 1.0)
+        }
+    }
+
+    #[test]
+    fn residual_fit_validates_the_corrected_estimate_against_the_truth() {
+        let (db, labeled) = setup();
+        let (train, valid) = labeled.split_at(100);
+        let base = NeuroCardPredictor::new(&db, 200, 3);
+        let build = |_: &mut StdRng| Constant(Tensor::param(Matrix::full(1, 1, 0.0)));
+        let target = Target::Cardinality;
+        let pred = fit("constant", "C".into(), build, Some(base), train, valid, target, 6, 1);
+        // The best epoch's weights are restored, and its validation score
+        // is the corrected estimate's mean q-error against the truth.
+        let best = pred.history.iter().copied().fold(f64::INFINITY, f64::min);
+        let mean =
+            valid.iter().map(|lq| qerror(pred.predict(&lq.query), target.truth(lq))).sum::<f64>()
+                / valid.len() as f64;
+        assert_eq!(best.to_bits(), mean.to_bits(), "{:?} vs {mean}", pred.history);
+        assert!(valid.iter().all(|lq| pred.predict(&lq.query) >= 1.0));
     }
 
     #[test]
