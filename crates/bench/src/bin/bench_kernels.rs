@@ -6,11 +6,15 @@
 //! instruction-set clone at runtime, and the JSON header records it as
 //! `kernel_isa`. Every timed pair is first checked bit-identical at 1, 2, 4
 //! and 8 threads: thread count and code path never change results.
+//!
+//! The `matmul_weight` rows time a product whose right operand is a
+//! `Tensor::param` weight at encoder shapes: `ops::matmul` (the weight's
+//! panels packed once and cached until its next write) against
+//! `Matrix::matmul` (the weight packed on every call).
 
 use std::time::Instant;
 
-use preqr_nn::parallel;
-use preqr_nn::Matrix;
+use preqr_nn::{no_grad, ops, parallel, Matrix, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -98,6 +102,49 @@ fn push_sweep(
     }
 }
 
+fn push_weight_panels(entries: &mut Vec<Entry>, a: &Matrix, b: &Matrix) {
+    let shape = format!("{}x{}x{}", a.rows(), a.cols(), b.cols());
+    let (x, w) = (Tensor::constant(a.clone()), Tensor::param(b.clone()));
+    let cached = || no_grad(|| ops::matmul(&x, &w));
+    // Bit-identity gate before timing anything.
+    let want = bits(&a.matmul_serial(b));
+    for threads in [1usize, 2, 4, 8] {
+        parallel::set_thread_override(Some(threads));
+        assert_eq!(bits(&a.matmul(b)), want, "matmul {shape} differs at {threads} threads");
+        assert_eq!(bits(&cached().value()), want, "cached {shape} differs at {threads} threads");
+        parallel::set_thread_override(None);
+    }
+
+    for threads in [1usize, 2, 4, 8] {
+        parallel::set_thread_override(Some(threads));
+        let per_call_ns = time_ns(|| {
+            std::hint::black_box(a.matmul(b));
+        });
+        let ns = time_ns(|| {
+            std::hint::black_box(cached());
+        });
+        parallel::set_thread_override(None);
+        let speedup = per_call_ns / ns;
+        println!(
+            "{:>18} {shape:>14} threads={threads}: {ns:.0} ns/iter \
+             (packed per call {per_call_ns:.0}), speedup {speedup:.2}x",
+            "matmul_weight"
+        );
+        for (variant, ns_per_iter, speedup) in
+            [("packed_per_call", per_call_ns, 1.0), ("cached_panels", ns, speedup)]
+        {
+            entries.push(Entry {
+                method: "matmul_weight",
+                shape: shape.clone(),
+                variant,
+                threads,
+                ns_per_iter,
+                speedup,
+            });
+        }
+    }
+}
+
 fn main() {
     let mut rng = StdRng::seed_from_u64(42);
     let mut entries = Vec::new();
@@ -164,6 +211,21 @@ fn main() {
             scores.matmul(&v)
         },
     );
+
+    // Encoder shapes: one 31-token query through d = 64 and d = 256
+    // projections and FFNs, and a 32-query batch at d = 256.
+    for &(m, k, n) in &[
+        (31usize, 64usize, 64usize),
+        (31, 64, 256),
+        (31, 256, 256),
+        (31, 256, 1024),
+        (31, 1024, 256),
+        (992, 256, 256),
+    ] {
+        let a = random_matrix(&mut rng, m, k);
+        let b = random_matrix(&mut rng, k, n);
+        push_weight_panels(&mut entries, &a, &b);
+    }
 
     let mut json = String::from("{\n  \"schema\": \"preqr-bench-kernels-v1\",\n");
     json.push_str("  \"generated_by\": \"crates/bench/src/bin/bench_kernels.rs\",\n");

@@ -2,8 +2,7 @@
 //!
 //! One binary per paper table/figure (run with
 //! `cargo run --release -p preqr-bench --bin <id>`), plus the kernel
-//! benchmark `bench_kernels` and the shard-count sweep `serve_shards`.
-//! The shared context here builds the
+//! benchmark `bench_kernels`. The shared context here builds the
 //! mini-IMDB database, the pre-training corpus, the pre-trained PreQR
 //! model (cached on disk under `artifacts/`), and the labelled
 //! workloads, at a scale controlled by the `PREQR_SCALE` environment
@@ -259,4 +258,3 @@ mod tests {
 }
 
 pub mod runner;
-pub mod trajectory;

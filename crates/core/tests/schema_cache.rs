@@ -3,6 +3,9 @@
 //! After every kind of write, `encode` must equal the tape-recording eval
 //! `forward` — which recomputes the schema side from the weights — bit
 //! for bit, and must differ from the embedding before the write.
+//!
+//! Each weight's packed matmul panels are cached until that weight's next
+//! write; the same writes must leave no stale panels behind.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -172,4 +175,26 @@ fn model_without_schema_still_encodes() {
     assert_eq!(e.shape(), (m.prepare(q).len(), config().d_model));
     assert_eq!(e, tracked(&m, q));
     assert_eq!(m.cls_vector(q), e.row(0).to_vec());
+}
+
+#[test]
+fn pretrain_after_an_encode_leaves_no_stale_weight_panels() {
+    let bits = |m: &Matrix| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut m = model();
+    let q = &corpus()[4];
+    // 16+ token rows: the FFN's 32→128 and 128→32 products take the packed
+    // path, so this encode fills their weights' panel caches.
+    assert!(m.prepare(q).len() >= 16);
+    let _ = m.encode(q);
+    m.pretrain(&corpus(), 1, 1e-2);
+    let after = m.encode(q);
+
+    let dir = std::env::temp_dir().join(format!("preqr_panel_cache_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("trained.ckpt");
+    m.save(&path).unwrap();
+    let fresh = model();
+    fresh.load(&path).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(bits(&after), bits(&fresh.encode(q)), "encode after pretrain == fresh load");
 }

@@ -14,7 +14,8 @@
 //! available hardware parallelism). Large shapes additionally use a
 //! cache-blocked, packed serial microkernel under the row-parallel loop,
 //! compiled per instruction set (AVX-512F, AVX2, baseline) and picked once
-//! at runtime.
+//! at runtime. A parameter's packed panels are kept from one
+//! [`ops::matmul`] to the next until its value is written.
 //!
 //! # Example
 //!

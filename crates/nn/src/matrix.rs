@@ -165,6 +165,19 @@ impl Matrix {
     /// # Panics
     /// Panics if the inner dimensions do not agree.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
+        self.matmul_with_panels(other, &mut None)
+    }
+
+    /// [`Matrix::matmul`] that reads `other`'s packed panels from `panels`,
+    /// packing them into it first if it is empty and the packed path runs.
+    /// The caller keeps the slot fresh: it must be empty or hold
+    /// `pack_b_panels` of `other`'s current value (see
+    /// [`crate::tensor::Tensor::with_forward_panels`]).
+    pub(crate) fn matmul_with_panels(
+        &self,
+        other: &Matrix,
+        panels: &mut Option<Vec<f32>>,
+    ) -> Matrix {
         assert_eq!(
             self.cols, other.rows,
             "matmul shape mismatch: {}x{} @ {}x{}",
@@ -176,7 +189,8 @@ impl Matrix {
         if m * k * n < parallel::PAR_MIN_FMAS || m < 2 * MR {
             return self.matmul_serial(other);
         }
-        matmul_packed(Isa::selected(), &self.data, m, k, &pack_b_panels(&other.data, k, n), n)
+        let panels = panels.get_or_insert_with(|| pack_b_panels(&other.data, k, n));
+        matmul_packed(Isa::selected(), &self.data, m, k, panels, n)
     }
 
     /// Serial reference for [`Matrix::matmul`]: cache-friendly `ikj`
@@ -535,9 +549,11 @@ fn matmul_packed(isa: Isa, a: &[f32], m: usize, k: usize, panels: &[f32], n: usi
 
 /// Packs `b` (`k × n` row-major) into column panels of width `NR`: panel
 /// `p` holds columns `p·NR ..` stored `k`-major, zero-padded to `NR` so the
-/// microkernel always reads full panel rows. Packed once per call and
-/// shared read-only across all row chunks.
+/// microkernel always reads full panel rows. Shared read-only across all
+/// row chunks; a parameter's panels are kept until its next write (see
+/// [`Matrix::matmul_with_panels`]).
 fn pack_b_panels(b: &[f32], k: usize, n: usize) -> Vec<f32> {
+    obs::counter_add(obs::Metric::NnMatmulPacks, 1);
     let panels = n.div_ceil(NR);
     let mut packed = vec![0.0f32; panels * k * NR];
     for p in 0..panels {
@@ -554,6 +570,7 @@ fn pack_b_panels(b: &[f32], k: usize, n: usize) -> Vec<f32> {
 /// Packs `bᵀ` for a row-major `n × k` matrix `b` into the layout of
 /// [`pack_b_panels`], reading each row of `b` straight into a panel column.
 fn pack_bt_panels(b: &[f32], k: usize, n: usize) -> Vec<f32> {
+    obs::counter_add(obs::Metric::NnMatmulPacks, 1);
     let mut packed = vec![0.0f32; n.div_ceil(NR) * k * NR];
     for j in 0..n {
         let (panel, col) = (j / NR * k * NR, j % NR);

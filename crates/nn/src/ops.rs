@@ -107,9 +107,10 @@ pub fn scale(a: &Tensor, s: f32) -> Tensor {
     )
 }
 
-/// Matrix product `a @ b`.
+/// Matrix product `a @ b`. A parameter `b` keeps its packed panels from
+/// one call to the next until its value is written.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    let v = a.value().matmul(&b.value());
+    let v = b.with_forward_panels(|bv, panels| a.value().matmul_with_panels(bv, panels));
     Tensor::from_op(
         v,
         vec![a.clone(), b.clone()],

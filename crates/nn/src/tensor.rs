@@ -94,6 +94,10 @@ pub(crate) struct TensorData {
     /// tell whether it changed since they were filled.
     version: Cell<u64>,
     value: RefCell<Matrix>,
+    /// A parameter's forward matmul panels (`value` packed for the
+    /// microkernel), filled by the first packed matmul that has it as the
+    /// right operand and emptied by every write. Unused by other nodes.
+    panels: RefCell<Option<Vec<f32>>>,
     grad: RefCell<Option<Matrix>>,
     requires_grad: bool,
     parents: Vec<Tensor>,
@@ -124,6 +128,7 @@ impl Tensor {
             id: next_id(),
             version: Cell::new(0),
             value: RefCell::new(value),
+            panels: RefCell::new(None),
             grad: RefCell::new(None),
             requires_grad: false,
             parents: Vec::new(),
@@ -138,6 +143,7 @@ impl Tensor {
             id: next_id(),
             version: Cell::new(0),
             value: RefCell::new(value),
+            panels: RefCell::new(None),
             grad: RefCell::new(None),
             requires_grad: true,
             parents: Vec::new(),
@@ -163,6 +169,7 @@ impl Tensor {
             id: next_id(),
             version: Cell::new(0),
             value: RefCell::new(value),
+            panels: RefCell::new(None),
             grad: RefCell::new(None),
             requires_grad,
             parents,
@@ -219,6 +226,30 @@ impl Tensor {
 
     fn bump_version(&self) {
         self.0.version.set(self.0.version.get() + 1);
+        *self.0.panels.borrow_mut() = None;
+    }
+
+    /// Runs `f` on the value and a slot for its packed forward matmul
+    /// panels (see [`Matrix::matmul_with_panels`]). A parameter lends its
+    /// own slot, which keeps the panels until [`Tensor::bump_version`]
+    /// empties it; any other tensor lends an empty slot that is dropped
+    /// after `f`.
+    pub(crate) fn with_forward_panels<R>(
+        &self,
+        f: impl FnOnce(&Matrix, &mut Option<Vec<f32>>) -> R,
+    ) -> R {
+        let value = self.0.value.borrow();
+        if self.is_param() {
+            f(&value, &mut self.0.panels.borrow_mut())
+        } else {
+            f(&value, &mut None)
+        }
+    }
+
+    /// True for a [`Tensor::param`] leaf: the only node that requires a
+    /// gradient without an op behind it.
+    fn is_param(&self) -> bool {
+        self.0.requires_grad && self.0.backward.is_none()
     }
 
     /// Owned copy of the accumulated gradient, if any.
@@ -365,6 +396,52 @@ mod tests {
         t.accumulate_grad(&Matrix::full(1, 2, 1.0));
         let _ = crate::ops::mul(&t, &t);
         assert_eq!(t.version(), 2, "gradients and reads are not writes");
+    }
+
+    /// A param above the packed-matmul size gate keeps its panels between
+    /// calls, and every write path empties them: the next product is then
+    /// the serial reference of the new value, bit for bit.
+    #[test]
+    fn param_panels_never_outlive_a_write() {
+        let bits = |m: &Matrix| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let fill = |salt: usize| {
+            Matrix::from_fn(64, 40, move |r, c| ((r * 7 + c * 13 + salt) % 17) as f32 * 0.3 - 2.1)
+        };
+        // 32·64·40 FMAs on 32 rows: the packed path.
+        let a = Tensor::constant(Matrix::from_fn(32, 64, |r, c| ((r * 5 + c) % 11) as f32 - 4.5));
+        let w = Tensor::param(fill(0));
+        let cached = |w: &Tensor| w.0.panels.borrow().as_ref().map(|p| p.as_ptr());
+        let check = |what: &str| {
+            let want = a.value().matmul_serial(&w.value());
+            assert_eq!(bits(&crate::ops::matmul(&a, &w).value()), bits(&want), "{what}");
+            assert!(cached(&w).is_some(), "{what}: a packed product fills the cache");
+        };
+
+        check("first product");
+        let first = cached(&w);
+        check("second product");
+        assert_eq!(cached(&w), first, "panels are reused until a write");
+
+        w.set_value(fill(1));
+        assert!(cached(&w).is_none());
+        check("after set_value");
+
+        w.update_value(|v| v.add_scaled_assign(&fill(2), 0.5));
+        assert!(cached(&w).is_none());
+        check("after update_value");
+
+        let mut adam = crate::optim::Adam::new(vec![w.clone()], 0.1);
+        w.accumulate_grad(&fill(3));
+        adam.step();
+        assert!(cached(&w).is_none());
+        check("after Adam::step");
+
+        let named = vec![("w".to_string(), w.clone())];
+        let loaded = std::collections::HashMap::from([("w".to_string(), fill(4))]);
+        crate::serialize::apply_params(&named, &loaded).unwrap();
+        assert!(cached(&w).is_none());
+        check("after apply_params");
+        assert_eq!(w.value_clone(), fill(4));
     }
 
     #[test]

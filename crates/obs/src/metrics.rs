@@ -23,6 +23,10 @@ pub enum Metric {
     NnDispatchPool,
     /// `Matrix::matmul` family entry calls (all variants).
     NnMatmulCalls,
+    /// Weight operands packed into microkernel panels (`pack_b_panels`,
+    /// `pack_bt_panels`); a parameter's cached forward panels count once
+    /// per write, not once per call.
+    NnMatmulPacks,
     /// Tokens masked for the MLM objective.
     PretrainMaskedTokens,
     /// Masked tokens the model predicted correctly.
@@ -71,10 +75,11 @@ pub enum Metric {
 
 impl Metric {
     /// Every counter, in flush order.
-    pub const ALL: [Metric; 25] = [
+    pub const ALL: [Metric; 26] = [
         Metric::NnDispatchInline,
         Metric::NnDispatchPool,
         Metric::NnMatmulCalls,
+        Metric::NnMatmulPacks,
         Metric::PretrainMaskedTokens,
         Metric::PretrainCorrectTokens,
         Metric::TrainRuns,
@@ -105,6 +110,7 @@ impl Metric {
             Metric::NnDispatchInline => "nn.dispatch.inline",
             Metric::NnDispatchPool => "nn.dispatch.pool",
             Metric::NnMatmulCalls => "nn.matmul.calls",
+            Metric::NnMatmulPacks => "nn.matmul.packs",
             Metric::PretrainMaskedTokens => "pretrain.masked_tokens",
             Metric::PretrainCorrectTokens => "pretrain.correct_tokens",
             Metric::TrainRuns => "train.runs",

@@ -89,6 +89,7 @@ fn traced_pretrain_event_stream_is_exact_and_thread_invariant() {
             "train.steps",
             "train.samples",
             "nn.matmul.calls",
+            "nn.matmul.packs",
         ] {
             assert_eq!(snap.counter(name), base.counter(name), "{name} at {t} threads");
         }
