@@ -2,10 +2,14 @@
 //! packed/parallel fast paths in `preqr-nn`, written to
 //! `results/BENCH_kernels.json`.
 //!
-//! Run via `scripts/bench_kernels.sh`. The build targets the baseline CPU like every shipped build; the packed kernels pick their
-//! instruction-set clone at runtime, and the JSON header records it as
-//! `kernel_isa`. Every timed pair is first checked bit-identical at 1, 2, 4
-//! and 8 threads: thread count and code path never change results.
+//! Run via `scripts/bench_kernels.sh`. Each row's `ns_per_iter` is the
+//! median of five ≥100 ms timing windows, with the fastest and slowest
+//! window as `ns_min` and `ns_max`; `speedup` compares medians. The build
+//! targets the baseline CPU like every shipped build; the packed kernels
+//! pick their instruction-set clone at runtime, and the JSON header
+//! records it as `kernel_isa`. Every timed pair is first checked
+//! bit-identical at 1, 2, 4 and 8 threads: thread count and code path
+//! never change results.
 //!
 //! The `matmul_weight` rows time a product whose right operand is a
 //! `Tensor::param` weight at encoder shapes: `ops::matmul` (the weight's
@@ -27,22 +31,33 @@ fn bits(m: &Matrix) -> Vec<u32> {
     m.data().iter().map(|x| x.to_bits()).collect()
 }
 
-/// Times `f` (ns/iter): two warmup calls, then batches until ≥250 ms total.
-fn time_ns(mut f: impl FnMut()) -> f64 {
+/// One measurement in ns/iter: the median of five timing windows, with
+/// the fastest and slowest.
+#[derive(Clone, Copy)]
+struct Timing {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+/// Times `f`: two warmup calls, then five windows of ≥100 ms (and ≥3
+/// calls) each, every window giving one ns/iter figure.
+fn time_ns(mut f: impl FnMut()) -> Timing {
     f();
     f();
-    let mut iters = 0u64;
-    let start = Instant::now();
-    loop {
-        f();
-        iters += 1;
-        if start.elapsed().as_secs_f64() >= 0.25 && iters >= 3 {
-            return start.elapsed().as_nanos() as f64 / iters as f64;
+    let mut windows = [(); 5].map(|()| {
+        let (mut iters, start) = (0u64, Instant::now());
+        loop {
+            f();
+            iters += 1;
+            let elapsed = start.elapsed();
+            if (elapsed.as_secs_f64() >= 0.1 && iters >= 3) || iters >= 1_000_000 {
+                return elapsed.as_nanos() as f64 / iters as f64;
+            }
         }
-        if iters >= 1_000_000 {
-            return start.elapsed().as_nanos() as f64 / iters as f64;
-        }
-    }
+    });
+    windows.sort_by(f64::total_cmp);
+    Timing { median: windows[2], min: windows[0], max: windows[4] }
 }
 
 struct Entry {
@@ -50,7 +65,7 @@ struct Entry {
     shape: String,
     variant: &'static str,
     threads: usize,
-    ns_per_iter: f64,
+    ns: Timing,
     speedup: f64,
 }
 
@@ -77,7 +92,7 @@ fn push_sweep(
         shape: shape.clone(),
         variant: "serial",
         threads: 1,
-        ns_per_iter: serial_ns,
+        ns: serial_ns,
         speedup: 1.0,
     });
     for threads in [1usize, 2, 4, 8] {
@@ -86,17 +101,18 @@ fn push_sweep(
             std::hint::black_box(parallel_run());
         });
         parallel::set_thread_override(None);
-        let speedup = serial_ns / ns;
+        let speedup = serial_ns.median / ns.median;
         println!(
-            "{method:>18} {shape:>14} threads={threads}: {ns:.0} ns/iter \
-             (serial {serial_ns:.0}), speedup {speedup:.2}x"
+            "{method:>18} {shape:>14} threads={threads}: {:.0} ns/iter \
+             (serial {:.0}), speedup {speedup:.2}x",
+            ns.median, serial_ns.median
         );
         entries.push(Entry {
             method,
             shape: shape.clone(),
             variant: "parallel",
             threads,
-            ns_per_iter: ns,
+            ns,
             speedup,
         });
     }
@@ -124,13 +140,13 @@ fn push_weight_panels(entries: &mut Vec<Entry>, a: &Matrix, b: &Matrix) {
             std::hint::black_box(cached());
         });
         parallel::set_thread_override(None);
-        let speedup = per_call_ns / ns;
+        let speedup = per_call_ns.median / ns.median;
         println!(
-            "{:>18} {shape:>14} threads={threads}: {ns:.0} ns/iter \
-             (packed per call {per_call_ns:.0}), speedup {speedup:.2}x",
-            "matmul_weight"
+            "{:>18} {shape:>14} threads={threads}: {:.0} ns/iter \
+             (packed per call {:.0}), speedup {speedup:.2}x",
+            "matmul_weight", ns.median, per_call_ns.median
         );
-        for (variant, ns_per_iter, speedup) in
+        for (variant, ns, speedup) in
             [("packed_per_call", per_call_ns, 1.0), ("cached_panels", ns, speedup)]
         {
             entries.push(Entry {
@@ -138,7 +154,7 @@ fn push_weight_panels(entries: &mut Vec<Entry>, a: &Matrix, b: &Matrix) {
                 shape: shape.clone(),
                 variant,
                 threads,
-                ns_per_iter,
+                ns,
                 speedup,
             });
         }
@@ -227,7 +243,7 @@ fn main() {
         push_weight_panels(&mut entries, &a, &b);
     }
 
-    let mut json = String::from("{\n  \"schema\": \"preqr-bench-kernels-v1\",\n");
+    let mut json = String::from("{\n  \"schema\": \"preqr-bench-kernels-v2\",\n");
     json.push_str("  \"generated_by\": \"crates/bench/src/bin/bench_kernels.rs\",\n");
     json.push_str(&format!(
         "  \"kernel_isa\": \"{}\",\n  \"host_available_parallelism\": {},\n  \"entries\": [\n",
@@ -237,12 +253,15 @@ fn main() {
     for (i, e) in entries.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"method\": \"{}\", \"shape\": \"{}\", \"variant\": \"{}\", \
-             \"threads\": {}, \"ns_per_iter\": {:.1}, \"speedup\": {:.3}}}{}\n",
+             \"threads\": {}, \"ns_per_iter\": {:.1}, \"ns_min\": {:.1}, \"ns_max\": {:.1}, \
+             \"speedup\": {:.3}}}{}\n",
             e.method,
             e.shape,
             e.variant,
             e.threads,
-            e.ns_per_iter,
+            e.ns.median,
+            e.ns.min,
+            e.ns.max,
             e.speedup,
             if i + 1 == entries.len() { "" } else { "," }
         ));

@@ -1,32 +1,33 @@
 //! `preqr-bench` — the reproduction harness.
 //!
-//! One binary per paper table/figure (run with
-//! `cargo run --release -p preqr-bench --bin <id>`), plus the kernel
-//! benchmark `bench_kernels`. The shared context here builds the
-//! mini-IMDB database, the pre-training corpus, the pre-trained PreQR
-//! model (cached on disk under `artifacts/`), and the labelled
-//! workloads, at a scale controlled by the `PREQR_SCALE` environment
-//! variable (`small` default, `full` for longer runs closer to the
-//! paper's sizes).
+//! One driver, `repro`, reproduces every paper table and figure
+//! (`cargo run --release -p preqr-bench --bin repro [artifact…]`, all
+//! artifacts when none is named; see [`repro`]); `bench_kernels` is the
+//! kernel benchmark. The shared context here builds the mini-IMDB
+//! database, the pre-training corpus, the pre-trained PreQR models (once
+//! per distinct configuration, in memory) and the labelled workloads, at
+//! a scale controlled by the `PREQR_SCALE` environment variable (`small`
+//! default, `full` for longer runs closer to the paper's sizes).
 
 #![warn(missing_docs)]
-use std::path::PathBuf;
-use std::time::Instant;
+use std::cell::{OnceCell, RefCell};
+use std::rc::Rc;
 
 use preqr::{PreqrConfig, SqlBert};
 use preqr_data::imdb::{generate, ImdbConfig};
 use preqr_data::workloads::{self, LabeledQuery};
 use preqr_engine::{BitmapSampler, CostModel, Database, TableStats};
-use preqr_nn::layers::Module;
-use preqr_nn::serialize;
 use preqr_obs as obs;
 use preqr_sql::ast::Query;
-use preqr_tasks::setup::value_buckets_from_db;
+use preqr_tasks::setup::build_pretrained;
+
+pub mod repro;
+mod runner;
 
 /// Run scale.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
-    /// Minutes-per-binary defaults.
+    /// Minutes-per-artifact defaults.
     Small,
     /// Larger corpora/epochs, closer to the paper's sizes.
     Full,
@@ -101,7 +102,80 @@ impl Sizes {
     }
 }
 
-/// Shared experiment context.
+/// Every seed a reproduction run draws from, named once (the models'
+/// own seed is [`PreqrConfig::seed`] in [`Ctx::config`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Seeds {
+    /// Mini-IMDB generation ([`ImdbConfig::seed`]).
+    pub imdb: u64,
+    /// The MLM pre-training corpus.
+    pub corpus: u64,
+    /// Estimation training workload (Synthetic family).
+    pub train: u64,
+    /// Estimation validation workload (Synthetic family).
+    pub valid: u64,
+    /// JOB-family training workload.
+    pub job_train: u64,
+    /// JOB-family validation workload.
+    pub job_valid: u64,
+    /// JOB-light test workload.
+    pub job_light: u64,
+    /// Synthetic test workload.
+    pub synthetic: u64,
+    /// Scale test workload.
+    pub scale: u64,
+    /// JOB (string predicates) test workload.
+    pub job: u64,
+    /// Bitmap sampler row draws.
+    pub sampler: u64,
+    /// Estimator fine-tuning and the NeuroCard sampler.
+    pub finetune: u64,
+    /// The CH-benCHmark database of the clustering and generation blocks.
+    pub ch: u64,
+    /// The CH workload with measured result overlap.
+    pub ch_workload: u64,
+    /// The Seq2Seq auto-encoder baseline.
+    pub seq2seq: u64,
+    /// WikiSQL-style text pairs.
+    pub wikisql: u64,
+    /// StackOverflow-style text pairs.
+    pub stackoverflow: u64,
+    /// SQL-to-Text generator training.
+    pub textgen: u64,
+    /// Table 5's update samples.
+    pub update: u64,
+    /// Table 5's new query patterns (Case 3).
+    pub new_patterns: u64,
+}
+
+impl Default for Seeds {
+    fn default() -> Self {
+        Self {
+            imdb: 42,
+            corpus: 11,
+            train: 21,
+            valid: 22,
+            job_train: 31,
+            job_valid: 32,
+            job_light: 41,
+            synthetic: 42,
+            scale: 43,
+            job: 44,
+            sampler: 1,
+            finetune: 7,
+            ch: 7,
+            ch_workload: 3,
+            seq2seq: 9,
+            wikisql: 5,
+            stackoverflow: 6,
+            textgen: 3,
+            update: 5,
+            new_patterns: 99,
+        }
+    }
+}
+
+/// Shared experiment context: one per run.
 pub struct Ctx {
     /// The mini-IMDB database.
     pub db: Database,
@@ -113,23 +187,48 @@ pub struct Ctx {
     pub cost_model: CostModel,
     /// Scale sizes.
     pub sizes: Sizes,
+    /// The run's seeds.
+    pub seeds: Seeds,
+    /// The `main` model's configuration, its seed included; the ablations
+    /// and the size ladder derive from it.
+    pub config: PreqrConfig,
+    /// Pre-trained models, one per distinct configuration.
+    models: RefCell<Vec<(PreqrConfig, Rc<SqlBert>)>>,
+    /// The Table 8/9 battery's output per target, cardinality first.
+    estimation: [OnceCell<String>; 2],
 }
 
 impl Ctx {
-    /// Builds the context for the current scale.
+    /// Builds the context for the current scale with `PreqrConfig::small()`.
     pub fn build() -> Self {
-        let sizes = Sizes::of(scale());
+        Self::new(Sizes::of(scale()), PreqrConfig::small())
+    }
+
+    /// Builds a context with the default seeds and `config` as `main`.
+    pub fn new(sizes: Sizes, config: PreqrConfig) -> Self {
+        let seeds = Seeds::default();
         let _span = obs::span("bench.ctx_build").field("movies", sizes.movies);
         eprintln!("[ctx] generating mini-IMDB ({} movies)…", sizes.movies);
-        let db = generate(ImdbConfig { movies: sizes.movies, ..ImdbConfig::default() });
+        let db =
+            generate(ImdbConfig { movies: sizes.movies, seed: seeds.imdb, ..Default::default() });
         let stats = TableStats::analyze(&db);
-        let sampler = BitmapSampler::new(&db, 64, 1);
-        Self { db, stats, sampler, cost_model: CostModel::default(), sizes }
+        let sampler = BitmapSampler::new(&db, 64, seeds.sampler);
+        Self {
+            db,
+            stats,
+            sampler,
+            cost_model: CostModel::default(),
+            sizes,
+            seeds,
+            config,
+            models: RefCell::default(),
+            estimation: Default::default(),
+        }
     }
 
     /// The MLM pre-training corpus.
     pub fn pretrain_corpus(&self) -> Vec<Query> {
-        workloads::pretrain_corpus(&self.db, self.sizes.pretrain, 11)
+        workloads::pretrain_corpus(&self.db, self.sizes.pretrain, self.seeds.corpus)
     }
 
     /// Labels a workload with ground truth (executes every query).
@@ -140,94 +239,51 @@ impl Ctx {
     /// The estimation training/validation sets (numeric star workload,
     /// disjoint seed from every test workload).
     pub fn estimation_train(&self) -> (Vec<LabeledQuery>, Vec<LabeledQuery>) {
-        let train = self.label(&workloads::synthetic(&self.db, self.sizes.train, 21));
-        let valid = self.label(&workloads::synthetic(&self.db, self.sizes.valid, 22));
+        let s = &self.seeds;
+        let train = self.label(&workloads::synthetic(&self.db, self.sizes.train, s.train));
+        let valid = self.label(&workloads::synthetic(&self.db, self.sizes.valid, s.valid));
         (train, valid)
     }
 
     /// The mixed-predicate (JOB) training/validation sets.
     pub fn job_train(&self) -> (Vec<LabeledQuery>, Vec<LabeledQuery>) {
-        let train = self.label(&workloads::job_full(&self.db, self.sizes.train / 2, 31));
-        let valid = self.label(&workloads::job_full(&self.db, self.sizes.valid / 2 + 10, 32));
+        let (db, s) = (&self.db, &self.seeds);
+        let train = self.label(&workloads::job_full(db, self.sizes.train / 2, s.job_train));
+        let valid = self.label(&workloads::job_full(db, self.sizes.valid / 2 + 10, s.job_valid));
         (train, valid)
     }
 
     /// Test workloads `(name, labeled)` in paper order.
     pub fn test_workloads(&self) -> Vec<(&'static str, Vec<LabeledQuery>)> {
+        let (db, n, s) = (&self.db, self.sizes.synthetic, &self.seeds);
         vec![
-            ("JOB-light", self.label(&workloads::job_light(&self.db, 41))),
-            ("Synthetic", self.label(&workloads::synthetic(&self.db, self.sizes.synthetic, 42))),
-            ("Scale", self.label(&workloads::scale(&self.db, 43))),
+            ("JOB-light", self.label(&workloads::job_light(db, s.job_light))),
+            ("Synthetic", self.label(&workloads::synthetic(db, n, s.synthetic))),
+            ("Scale", self.label(&workloads::scale(db, s.scale))),
         ]
     }
 
     /// The string-predicate JOB test workload.
     pub fn job_workload(&self) -> Vec<LabeledQuery> {
-        self.label(&workloads::job_full(&self.db, self.sizes.job, 44))
+        self.label(&workloads::job_full(&self.db, self.sizes.job, self.seeds.job))
     }
 
-    /// Builds (or loads from the artifact cache) a pre-trained PreQR
-    /// model. The cache key covers the scale and the configuration tag,
-    /// and vocabulary/automaton construction is deterministic, so cached
-    /// parameters always match the freshly-built architecture.
-    pub fn pretrained(&self, tag: &str, config: PreqrConfig) -> SqlBert {
-        let _span = obs::span("bench.pretrained").field("tag", tag);
+    /// The PreQR model pre-trained on the mini-IMDB corpus under
+    /// `config`. Each distinct configuration is pre-trained once per
+    /// context and then shared read-only; an artifact that needs to
+    /// change a model copies it first.
+    pub fn pretrained(&self, config: PreqrConfig) -> Rc<SqlBert> {
+        if let Some((_, model)) = self.models.borrow().iter().find(|(c, _)| *c == config) {
+            return Rc::clone(model);
+        }
+        let _span = obs::span("bench.pretrained").field("config", format!("{config:?}"));
         let corpus = self.pretrain_corpus();
-        let buckets = value_buckets_from_db(&self.db, config.value_buckets);
-        let mut model = SqlBert::new(&corpus, self.db.schema(), buckets, config);
-        let path = artifact_path(&format!(
-            "preqr_{tag}_{:?}_{}x{}x{}.bin",
-            scale(),
-            config.layers,
-            config.d_model,
-            config.heads
-        ));
-        if let Ok(loaded) = serialize::load_from_file(&path) {
-            if serialize::apply_params(&model.named_params("m"), &loaded).is_ok() {
-                eprintln!("[ctx] loaded cached model {}", path.display());
-                return model;
-            }
-        }
-        eprintln!(
-            "[ctx] pre-training PreQR[{tag}] (L={}, H={}, A={}) on {} queries…",
-            config.layers,
-            config.d_model,
-            config.heads,
-            corpus.len()
-        );
-        let t0 = Instant::now();
-        let stats = model.pretrain(&corpus, self.sizes.pretrain_epochs, 1e-3);
-        if let Some(last) = stats.last() {
-            eprintln!(
-                "[ctx] pre-training done in {:.1}s (loss {:.3}, mask acc {:.2})",
-                t0.elapsed().as_secs_f64(),
-                last.loss,
-                last.accuracy
-            );
-        }
-        let _ = std::fs::create_dir_all(path.parent().expect("artifact dir"));
-        if let Err(e) = serialize::save_to_file(&path, &model.named_params("m")) {
-            eprintln!("[ctx] warning: could not cache model: {e}");
-        }
+        eprintln!("[ctx] pre-training PreQR on {} queries: {config:?}", corpus.len());
+        let epochs = self.sizes.pretrain_epochs;
+        let model = Rc::new(build_pretrained(&self.db, &corpus, config, epochs, 1e-3).0);
+        self.models.borrow_mut().push((config, Rc::clone(&model)));
         model
     }
-}
-
-/// Artifact cache location (`artifacts/` at the workspace root).
-pub fn artifact_path(name: &str) -> PathBuf {
-    let root = std::env::var("CARGO_MANIFEST_DIR")
-        .map(|d| PathBuf::from(d).join("../.."))
-        .unwrap_or_else(|_| PathBuf::from("."));
-    root.join("artifacts").join(name)
-}
-
-/// Prints a table header in the Tables 8–11 format.
-pub fn print_qerror_header(title: &str) {
-    println!("\n=== {title} ===");
-    println!(
-        "{:<20} {:>8} {:>8} {:>8} {:>8} {:>9} {:>8}",
-        "method", "median", "90th", "95th", "99th", "max", "mean"
-    );
 }
 
 #[cfg(test)]
@@ -249,12 +305,4 @@ mod tests {
             assert_eq!(scale(), Scale::Small);
         }
     }
-
-    #[test]
-    fn artifact_path_is_under_artifacts() {
-        let p = artifact_path("x.bin");
-        assert!(p.to_string_lossy().contains("artifacts"));
-    }
 }
-
-pub mod runner;

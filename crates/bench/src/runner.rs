@@ -1,85 +1,99 @@
-//! Shared estimation-experiment runner used by the table/figure binaries.
+//! Shared estimation-experiment runner used by the table/figure artifacts.
 
-use preqr::SqlBert;
-use preqr_data::workloads::LabeledQuery;
+use std::io::{self, Write};
+
 use preqr_tasks::estimation::{
     evaluate, train_corrected, train_lstm, train_mscn, train_preqr, Estimator, NeuroCardPredictor,
     PgBaseline, Target,
 };
-use preqr_tasks::metrics::QErrorStats;
 
 use crate::Ctx;
 
-/// Result rows of one estimation table: `(method, workload, stats)`.
-pub type TableRows = Vec<(String, String, QErrorStats)>;
-
-/// Which rows to include.
-#[derive(Clone, Copy, Debug)]
-pub struct RowSelection {
-    /// Include MSCN (absent on JOB per the paper: "current MSCN model
-    /// does not support string predicates").
-    pub mscn: bool,
-    /// Include the NeuroCard rows (cardinality + numeric workloads only).
-    pub neurocard: bool,
+/// Writes a table header in the Tables 8–11 format.
+fn write_qerror_header(out: &mut dyn Write, title: &str) -> io::Result<()> {
+    writeln!(out, "\n=== {title} ===")?;
+    writeln!(
+        out,
+        "{:<20} {:>8} {:>8} {:>8} {:>8} {:>9} {:>8}",
+        "method", "median", "90th", "95th", "99th", "max", "mean"
+    )
 }
 
-/// Runs the full method battery for one target over test workloads,
-/// printing rows as they complete and returning them.
-pub fn run_estimation(
+/// Runs the method battery for one target with the `main` model, writing
+/// each row to `out` as it completes. On the numeric workloads (Tables
+/// 8–9) that is PG, MSCN, LSTM and PreQR, plus NeuroCard and
+/// NeuroCard+PreQR for cardinality; on JOB with string predicates (Tables
+/// 10–11) MSCN and NeuroCard sit out ("current MSCN model does not
+/// support string predicates").
+pub(crate) fn run_estimation(
     ctx: &Ctx,
-    model: &SqlBert,
     target: Target,
-    train: &[LabeledQuery],
-    valid: &[LabeledQuery],
-    tests: &[(&str, Vec<LabeledQuery>)],
-    rows: RowSelection,
-) -> TableRows {
+    numeric: bool,
+    out: &mut dyn Write,
+) -> io::Result<()> {
     let preqr_label = match target {
         Target::Cardinality => "PreQRCard",
         Target::Cost => "PreQRCost",
     };
+    let model = ctx.pretrained(ctx.config);
+    let ((train, valid), tests) = if numeric {
+        (ctx.estimation_train(), ctx.test_workloads())
+    } else {
+        (ctx.job_train(), vec![("JOB (strings)", ctx.job_workload())])
+    };
     let _span = preqr_obs::span("bench.run_estimation")
         .field("label", preqr_label)
         .field("workloads", tests.len());
-    let mut out = TableRows::new();
-    let sampler = Some(&ctx.sampler);
-    let epochs = ctx.sizes.est_epochs;
+    let (db, sampler) = (&ctx.db, Some(&ctx.sampler));
+    let (epochs, seed) = (ctx.sizes.est_epochs, ctx.seeds.finetune);
 
-    let pg = PgBaseline::new(&ctx.db, &ctx.stats, target);
-    let mscn = rows.mscn.then(|| {
+    let pg = PgBaseline::new(db, &ctx.stats, target);
+    let mscn = numeric.then(|| {
         eprintln!("[run] training MSCN…");
-        train_mscn(&ctx.db, sampler, train, valid, target, epochs, 7)
+        train_mscn(db, sampler, &train, &valid, target, epochs, seed)
     });
     eprintln!("[run] training LSTM…");
-    let lstm = train_lstm(&ctx.db, sampler, train, valid, target, epochs, 7);
+    let lstm = train_lstm(db, sampler, &train, &valid, target, epochs, seed);
     eprintln!("[run] fine-tuning PreQR…");
-    let preqr = train_preqr(&ctx.db, model, sampler, train, valid, target, epochs, 7, preqr_label);
-    let neurocard = (rows.neurocard && target == Target::Cardinality)
-        .then(|| NeuroCardPredictor::new(&ctx.db, ctx.sizes.nc_samples, 7));
-    let corrected = (rows.neurocard && target == Target::Cardinality).then(|| {
+    let preqr = train_preqr(db, &model, sampler, &train, &valid, target, epochs, seed, preqr_label);
+    let neurocard = numeric && target == Target::Cardinality;
+    let neurocard = neurocard.then(|| {
         eprintln!("[run] training NeuroCard+PreQR correction…");
-        train_corrected(&ctx.db, model, sampler, train, valid, ctx.sizes.nc_samples, epochs, 7)
+        let nc = ctx.sizes.nc_samples;
+        let base = NeuroCardPredictor::new(db, nc, seed);
+        (base, train_corrected(db, &model, sampler, &train, &valid, nc, epochs, seed))
     });
 
-    for (wname, workload) in tests {
+    for (wname, workload) in &tests {
         let mut methods: Vec<&dyn Estimator> = vec![&pg];
         if let Some(m) = &mscn {
             methods.push(m);
         }
-        methods.push(&lstm);
-        methods.push(&preqr);
-        if let Some(n) = &neurocard {
-            methods.push(n);
+        methods.extend([&lstm as &dyn Estimator, &preqr]);
+        if let Some((n, c)) = &neurocard {
+            methods.extend([n as &dyn Estimator, c]);
         }
-        if let Some(c) = &corrected {
-            methods.push(c);
-        }
-        crate::print_qerror_header(&format!("{wname} ({target:?})"));
+        write_qerror_header(out, &format!("{wname} ({target:?})"))?;
         for m in methods {
-            let stats = evaluate(m, target, workload);
-            println!("{}", stats.row(&m.name()));
-            out.push((m.name(), (*wname).to_string(), stats));
+            writeln!(out, "{}", evaluate(m, target, workload).row(&m.name()))?;
         }
     }
-    out
+    Ok(())
+}
+
+impl Ctx {
+    /// The Table 8 (cardinality) or Table 9 (cost) battery on the numeric
+    /// workloads, as written by [`run_estimation`]. Runs once per target
+    /// per context; Table 7's estimation block prints the same rows.
+    pub fn estimation(&self, target: Target) -> &str {
+        let cell = match target {
+            Target::Cardinality => &self.estimation[0],
+            Target::Cost => &self.estimation[1],
+        };
+        cell.get_or_init(|| {
+            let mut out = Vec::new();
+            run_estimation(self, target, true, &mut out).expect("writing to memory");
+            String::from_utf8(out).expect("rows are UTF-8")
+        })
+    }
 }

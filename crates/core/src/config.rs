@@ -3,7 +3,7 @@
 /// Hyper-parameters of the PreQR model (paper defaults: L=4, H=256, A=4,
 /// ~40 M parameters; the CPU-scale presets shrink H for tractable
 /// single-core pre-training — Table 13 sweeps these knobs).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PreqrConfig {
     /// Transformer hidden size (`H`, `d_model`).
     pub d_model: usize,
@@ -40,7 +40,7 @@ impl PreqrConfig {
         Self { d_model: 256, layers: 4, heads: 4, ..Self::small() }
     }
 
-    /// CPU-scale default used by the reproduction binaries.
+    /// CPU-scale default used by the reproduction driver.
     pub fn small() -> Self {
         Self {
             d_model: 64,

@@ -276,7 +276,7 @@ mod tests {
         // Incremental cases train strict parameter subsets of the full
         // retrain (Case 4). The paper's full Case 1 < Case 3 wall-clock
         // ordering additionally depends on the 30k-token vocabulary,
-        // which the paper-scale reproduction binary (table05) measures.
+        // which the paper-scale reproduction (`repro table05`) measures.
         let mut m = model();
         let r1 = update_data_distribution(&mut m, &corpus(), 1);
         let r3 = update_query_patterns(&mut m, &corpus(), 1);

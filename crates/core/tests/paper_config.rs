@@ -1,6 +1,7 @@
 //! The paper's full configuration (L=4, H=256, A=4) must build and
-//! encode (pre-training at that size is a long-run job, exercised by the
-//! PREQR_SCALE=full reproduction binaries).
+//! encode. Pre-training at that size is a long-run job that no test or
+//! reproduction artifact runs: `repro` pre-trains `PreqrConfig::small()`
+//! and its variants at either `PREQR_SCALE`.
 
 use preqr::{PreqrConfig, SqlBert, ValueBuckets};
 use preqr_schema::{Column, ColumnType, ForeignKey, Schema, Table};

@@ -1,4 +1,4 @@
-//! Convenience builders shared by the reproduction binaries and tests.
+//! Convenience builders shared by the reproduction driver and tests.
 
 use preqr::{PreqrConfig, SqlBert, ValueBuckets};
 use preqr_engine::Database;

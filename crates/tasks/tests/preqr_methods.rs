@@ -1,5 +1,5 @@
 //! Integration of the PreQR encoder with the clustering and generation
-//! pipelines (the library paths the Table 7 binaries exercise at scale).
+//! pipelines (the library paths Table 7's reproduction exercises at scale).
 
 use preqr::{PreqrConfig, SqlBert};
 use preqr_data::chdb::{generate, ChConfig};

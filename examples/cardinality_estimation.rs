@@ -54,5 +54,5 @@ fn main() {
     ] {
         println!("{:<10} {:>8.2} {:>8.2} {:>8.2}", name, s.median, s.p95, s.mean);
     }
-    println!("\n(small demo scale — run the preqr-bench binaries for the full reproduction)");
+    println!("\n(small demo scale — run the preqr-bench `repro` driver for the full reproduction)");
 }

@@ -37,7 +37,7 @@ fn pretrain_encode_finetune_evaluate() {
     // Fine-tuning must beat the untrained head (which decodes to the
     // training geometric mean), and land in the same order of magnitude
     // as the PG baseline even at this tiny test scale. (The full-scale
-    // PG-beating result is the table08 reproduction binary's job.)
+    // PG-beating result is the `repro table08` reproduction's job.)
     let untrained = train_preqr(
         &db,
         &model,
