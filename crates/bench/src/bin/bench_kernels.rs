@@ -1,6 +1,6 @@
 //! Kernel benchmark (not a paper artifact): serial reference kernels vs the
-//! packed/parallel fast paths in `preqr-nn`, written to
-//! `results/BENCH_kernels.json`.
+//! packed fast paths in `preqr-nn`, written to `results/BENCH_kernels.json`.
+//! Every kernel runs on the calling thread.
 //!
 //! Run via `scripts/bench_kernels.sh`. Each row's `ns_per_iter` is the
 //! median of five ≥100 ms timing windows, with the fastest and slowest
@@ -8,8 +8,7 @@
 //! targets the baseline CPU like every shipped build; the packed kernels
 //! pick their instruction-set clone at runtime, and the JSON header
 //! records it as `kernel_isa`. Every timed pair is first checked
-//! bit-identical at 1, 2, 4 and 8 threads: thread count and code path
-//! never change results.
+//! bit-identical: the code path never changes results.
 //!
 //! The `matmul_weight` rows time a product whose right operand is a
 //! `Tensor::param` weight at encoder shapes: `ops::matmul` (the weight's
@@ -18,7 +17,7 @@
 
 use std::time::Instant;
 
-use preqr_nn::{no_grad, ops, parallel, Matrix, Tensor};
+use preqr_nn::{no_grad, ops, Matrix, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -64,101 +63,71 @@ struct Entry {
     method: &'static str,
     shape: String,
     variant: &'static str,
-    threads: usize,
     ns: Timing,
     speedup: f64,
 }
 
-fn push_sweep(
+/// Times `base` and `fast` and pushes one row each; `speedup` is `base`'s
+/// median over the row's.
+fn push_pair<B, F>(
+    entries: &mut Vec<Entry>,
+    method: &'static str,
+    shape: String,
+    (base_name, base): (&'static str, impl Fn() -> B),
+    (fast_name, fast): (&'static str, impl Fn() -> F),
+) {
+    let base_ns = time_ns(|| {
+        std::hint::black_box(base());
+    });
+    let ns = time_ns(|| {
+        std::hint::black_box(fast());
+    });
+    let speedup = base_ns.median / ns.median;
+    println!(
+        "{method:>18} {shape:>14}: {fast_name} {:.0} ns/iter ({base_name} {:.0}), \
+         speedup {speedup:.2}x",
+        ns.median, base_ns.median
+    );
+    entries.push(Entry {
+        method,
+        shape: shape.clone(),
+        variant: base_name,
+        ns: base_ns,
+        speedup: 1.0,
+    });
+    entries.push(Entry { method, shape, variant: fast_name, ns, speedup });
+}
+
+/// A serial reference against its packed fast path, checked bit-identical
+/// before timing.
+fn push_serial_vs_packed(
     entries: &mut Vec<Entry>,
     method: &'static str,
     shape: String,
     serial: impl Fn() -> Matrix,
-    parallel_run: impl Fn() -> Matrix,
+    packed: impl Fn() -> Matrix,
 ) {
-    // Bit-identity gate before timing anything.
-    let want = bits(&serial());
-    for threads in [1usize, 2, 4, 8] {
-        parallel::set_thread_override(Some(threads));
-        assert_eq!(bits(&parallel_run()), want, "{method} {shape} differs at {threads} threads");
-        parallel::set_thread_override(None);
-    }
-
-    let serial_ns = time_ns(|| {
-        std::hint::black_box(serial());
-    });
-    entries.push(Entry {
-        method,
-        shape: shape.clone(),
-        variant: "serial",
-        threads: 1,
-        ns: serial_ns,
-        speedup: 1.0,
-    });
-    for threads in [1usize, 2, 4, 8] {
-        parallel::set_thread_override(Some(threads));
-        let ns = time_ns(|| {
-            std::hint::black_box(parallel_run());
-        });
-        parallel::set_thread_override(None);
-        let speedup = serial_ns.median / ns.median;
-        println!(
-            "{method:>18} {shape:>14} threads={threads}: {:.0} ns/iter \
-             (serial {:.0}), speedup {speedup:.2}x",
-            ns.median, serial_ns.median
-        );
-        entries.push(Entry {
-            method,
-            shape: shape.clone(),
-            variant: "parallel",
-            threads,
-            ns,
-            speedup,
-        });
-    }
+    assert_eq!(bits(&packed()), bits(&serial()), "{method} {shape} differs");
+    push_pair(entries, method, shape, ("serial", serial), ("packed", packed));
 }
 
+/// `ops::matmul` with a `Tensor::param` weight (cached panels) against
+/// `Matrix::matmul` (the weight packed on every call), checked
+/// bit-identical to the serial reference before timing.
 fn push_weight_panels(entries: &mut Vec<Entry>, a: &Matrix, b: &Matrix) {
     let shape = format!("{}x{}x{}", a.rows(), a.cols(), b.cols());
     let (x, w) = (Tensor::constant(a.clone()), Tensor::param(b.clone()));
     let cached = || no_grad(|| ops::matmul(&x, &w));
-    // Bit-identity gate before timing anything.
     let want = bits(&a.matmul_serial(b));
-    for threads in [1usize, 2, 4, 8] {
-        parallel::set_thread_override(Some(threads));
-        assert_eq!(bits(&a.matmul(b)), want, "matmul {shape} differs at {threads} threads");
-        assert_eq!(bits(&cached().value()), want, "cached {shape} differs at {threads} threads");
-        parallel::set_thread_override(None);
-    }
-
-    for threads in [1usize, 2, 4, 8] {
-        parallel::set_thread_override(Some(threads));
-        let per_call_ns = time_ns(|| {
-            std::hint::black_box(a.matmul(b));
-        });
-        let ns = time_ns(|| {
-            std::hint::black_box(cached());
-        });
-        parallel::set_thread_override(None);
-        let speedup = per_call_ns.median / ns.median;
-        println!(
-            "{:>18} {shape:>14} threads={threads}: {:.0} ns/iter \
-             (packed per call {:.0}), speedup {speedup:.2}x",
-            "matmul_weight", ns.median, per_call_ns.median
-        );
-        for (variant, ns, speedup) in
-            [("packed_per_call", per_call_ns, 1.0), ("cached_panels", ns, speedup)]
-        {
-            entries.push(Entry {
-                method: "matmul_weight",
-                shape: shape.clone(),
-                variant,
-                threads,
-                ns,
-                speedup,
-            });
-        }
-    }
+    assert_eq!(bits(&a.matmul(b)), want, "matmul {shape} differs");
+    assert_eq!(bits(&cached().value()), want, "cached {shape} differs");
+    push_pair(
+        entries,
+        "matmul_weight",
+        shape,
+        ("packed_per_call", || a.matmul(b)),
+        ("cached_panels", cached),
+    );
 }
 
 fn main() {
@@ -168,7 +137,7 @@ fn main() {
     for &s in &[64usize, 128, 256, 384] {
         let a = random_matrix(&mut rng, s, s);
         let b = random_matrix(&mut rng, s, s);
-        push_sweep(
+        push_serial_vs_packed(
             &mut entries,
             "matmul",
             format!("{s}x{s}x{s}"),
@@ -180,7 +149,7 @@ fn main() {
     // Attention-scores shape: seq=128, head_dim=64 → q @ kᵀ.
     let q = random_matrix(&mut rng, 128, 64);
     let kmat = random_matrix(&mut rng, 128, 64);
-    push_sweep(
+    push_serial_vs_packed(
         &mut entries,
         "matmul_transpose_b",
         "128x64x128".to_string(),
@@ -188,36 +157,17 @@ fn main() {
         || q.matmul_transpose_b(&kmat),
     );
 
-    for &(r, c) in &[(256usize, 256usize), (1024, 256)] {
-        let base = random_matrix(&mut rng, r, c);
-        push_sweep(
-            &mut entries,
-            "softmax_rows",
-            format!("{r}x{c}"),
-            || {
-                let mut m = base.clone();
-                m.softmax_rows_inplace_serial();
-                m
-            },
-            || {
-                let mut m = base.clone();
-                m.softmax_rows_inplace();
-                m
-            },
-        );
-    }
-
     // Single-head attention core: softmax(q kᵀ / √d) @ v.
     let v = random_matrix(&mut rng, 128, 64);
     let scale = 1.0 / (64f32).sqrt();
-    push_sweep(
+    push_serial_vs_packed(
         &mut entries,
         "attention_core",
         "seq128_d64".to_string(),
         || {
             let mut scores = q.matmul_transpose_b_serial(&kmat);
             scores.scale_assign(scale);
-            scores.softmax_rows_inplace_serial();
+            scores.softmax_rows_inplace();
             scores.matmul_serial(&v)
         },
         || {
@@ -243,22 +193,20 @@ fn main() {
         push_weight_panels(&mut entries, &a, &b);
     }
 
-    let mut json = String::from("{\n  \"schema\": \"preqr-bench-kernels-v2\",\n");
+    let mut json = String::from("{\n  \"schema\": \"preqr-bench-kernels-v3\",\n");
     json.push_str("  \"generated_by\": \"crates/bench/src/bin/bench_kernels.rs\",\n");
     json.push_str(&format!(
-        "  \"kernel_isa\": \"{}\",\n  \"host_available_parallelism\": {},\n  \"entries\": [\n",
+        "  \"kernel_isa\": \"{}\",\n  \"entries\": [\n",
         preqr_nn::matrix::kernel_isa(),
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     ));
     for (i, e) in entries.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"method\": \"{}\", \"shape\": \"{}\", \"variant\": \"{}\", \
-             \"threads\": {}, \"ns_per_iter\": {:.1}, \"ns_min\": {:.1}, \"ns_max\": {:.1}, \
+             \"ns_per_iter\": {:.1}, \"ns_min\": {:.1}, \"ns_max\": {:.1}, \
              \"speedup\": {:.3}}}{}\n",
             e.method,
             e.shape,
             e.variant,
-            e.threads,
             e.ns.median,
             e.ns.min,
             e.ns.max,

@@ -6,16 +6,14 @@
 //! attention, transformer encoder, LSTM/BiLSTM, relational GCN), Adam/SGD
 //! optimizers, and a binary checkpoint format.
 //!
-//! The dense kernels in [`matrix`] route through a persistent worker pool
-//! ([`parallel`]) above a FLOP threshold: work is partitioned by output
-//! rows, which keeps every per-element reduction in the same floating-point
-//! order as the retained serial reference kernels, so results are
-//! bit-identical at any thread count (`PREQR_THREADS`, defaulting to the
-//! available hardware parallelism). Large shapes additionally use a
-//! cache-blocked, packed serial microkernel under the row-parallel loop,
-//! compiled per instruction set (AVX-512F, AVX2, baseline) and picked once
-//! at runtime. A parameter's packed panels are kept from one
-//! [`ops::matmul`] to the next until its value is written.
+//! Every kernel runs on the thread that calls it; the crate spawns no
+//! thread. Above a FLOP threshold the matmul kernels in [`matrix`] run a
+//! cache-blocked, packed microkernel, compiled per instruction set
+//! (AVX-512F, AVX2, baseline) and picked once at runtime. It keeps every
+//! per-element reduction in the same floating-point order as the retained
+//! serial reference kernels, so results are bit-identical on either path.
+//! A parameter's packed panels are kept from one [`ops::matmul`] to the
+//! next until its value is written.
 //!
 //! # Example
 //!

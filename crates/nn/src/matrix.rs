@@ -1,15 +1,14 @@
 //! Dense row-major `f32` matrix used as the storage type of the autograd
 //! tensor.
 //!
-//! The hot kernels (`matmul`, `matmul_transpose_b`, `transpose_a_matmul`,
-//! `softmax_rows_inplace`, large element-wise maps) dispatch on problem
-//! size: small shapes run the straightforward serial reference kernels
-//! (`*_serial`), large shapes run a cache-blocked, packed microkernel whose
-//! output rows are partitioned across the [`crate::parallel`] worker pool.
-//! Row partitioning and a fixed ascending-`k` accumulation order keep every
-//! per-element reduction in exactly the same floating-point order as the
-//! serial references, so the two paths are **bit-identical** at any thread
-//! count (property-tested in `tests/prop_parallel.rs`).
+//! Every kernel runs on the calling thread. The matmul family (`matmul`,
+//! `matmul_transpose_b`, `transpose_a_matmul`) dispatches on problem size:
+//! small shapes run the straightforward serial reference kernels
+//! (`*_serial`), large shapes run a cache-blocked, packed microkernel. Its
+//! fixed ascending-`k` accumulation order keeps every per-element reduction
+//! in exactly the same floating-point order as the serial references, so
+//! the two paths are **bit-identical** (property-tested in
+//! `tests/prop_packed.rs`).
 //!
 //! The microkernel is compiled once per instruction set (AVX-512F, AVX2 and
 //! the target's baseline) from one `#[inline(always)]` body, and the widest
@@ -22,18 +21,15 @@ use std::sync::OnceLock;
 
 use preqr_obs as obs;
 
-use crate::parallel;
-
 /// Microkernel tile height (rows of `A` per register block). An 8×16 tile
 /// keeps 128 accumulators live, which the AVX-512 clone holds entirely in
 /// vector registers.
 const MR: usize = 8;
 /// Microkernel tile width (columns of `B` per packed panel).
 const NR: usize = 16;
-/// Minimum output rows per pool task for matmul-family kernels.
-const MATMUL_MIN_CHUNK_ROWS: usize = 8;
-/// Minimum elements per pool task for element-wise kernels.
-const ELEMWISE_MIN_CHUNK: usize = 4096;
+/// Minimum number of fused multiply-adds (`m·k·n`) before a matmul-family
+/// kernel takes the packed path.
+const PACKED_MIN_FMAS: usize = 1 << 16;
 
 /// A dense row-major matrix of `f32` values.
 ///
@@ -158,9 +154,9 @@ impl Matrix {
 
     /// Matrix product `self @ other`.
     ///
-    /// Small shapes run [`Matrix::matmul_serial`]; above
-    /// [`parallel::PAR_MIN_FMAS`] fused multiply-adds the packed,
-    /// row-parallel kernel takes over (bit-identical results either way).
+    /// Small shapes run [`Matrix::matmul_serial`]; above `PACKED_MIN_FMAS`
+    /// (2¹⁶) fused multiply-adds the packed kernel takes over
+    /// (bit-identical results either way).
     ///
     /// # Panics
     /// Panics if the inner dimensions do not agree.
@@ -186,7 +182,7 @@ impl Matrix {
         obs::counter_add(obs::Metric::NnMatmulCalls, 1);
         let _t = obs::timer(obs::HistMetric::NnMatmulUs);
         let (m, k, n) = (self.rows, self.cols, other.cols);
-        if m * k * n < parallel::PAR_MIN_FMAS || m < 2 * MR {
+        if m * k * n < PACKED_MIN_FMAS || m < 2 * MR {
             return self.matmul_serial(other);
         }
         let panels = panels.get_or_insert_with(|| pack_b_panels(&other.data, k, n));
@@ -195,7 +191,7 @@ impl Matrix {
 
     /// Serial reference for [`Matrix::matmul`]: cache-friendly `ikj`
     /// ordering on the calling thread. Retained as the bit-exactness
-    /// baseline for the packed/parallel path and as the benchmark baseline.
+    /// baseline for the packed path and as the benchmark baseline.
     pub fn matmul_serial(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.rows,
@@ -218,10 +214,9 @@ impl Matrix {
     }
 
     /// `self @ other^T` without materializing the transpose. Above
-    /// [`parallel::PAR_MIN_FMAS`] fused multiply-adds the rows of `other`
-    /// are packed as the column panels of `other^T` and the packed,
-    /// row-parallel kernel runs (bit-identical to
-    /// [`Matrix::matmul_transpose_b_serial`]).
+    /// `PACKED_MIN_FMAS` fused multiply-adds the rows of `other` are packed
+    /// as the column panels of `other^T` and the packed kernel runs
+    /// (bit-identical to [`Matrix::matmul_transpose_b_serial`]).
     pub fn matmul_transpose_b(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.cols,
@@ -231,7 +226,7 @@ impl Matrix {
         obs::counter_add(obs::Metric::NnMatmulCalls, 1);
         let _t = obs::timer(obs::HistMetric::NnMatmulUs);
         let (m, k, n) = (self.rows, self.cols, other.rows);
-        if m * k * n < parallel::PAR_MIN_FMAS {
+        if m * k * n < PACKED_MIN_FMAS {
             return self.matmul_transpose_b_serial(other);
         }
         matmul_packed(Isa::selected(), &self.data, m, k, &pack_bt_panels(&other.data, k, n), n)
@@ -269,7 +264,7 @@ impl Matrix {
         obs::counter_add(obs::Metric::NnMatmulCalls, 1);
         let _t = obs::timer(obs::HistMetric::NnMatmulUs);
         let (k, m, n) = (self.rows, self.cols, other.cols);
-        if m * k * n < parallel::PAR_MIN_FMAS || m < 2 * MR {
+        if m * k * n < PACKED_MIN_FMAS || m < 2 * MR {
             return self.transpose_a_matmul_serial(other);
         }
         let at = self.transpose();
@@ -310,95 +305,39 @@ impl Matrix {
         out
     }
 
-    /// Elementwise addition in place (row-parallel above the element
-    /// threshold; element-wise ops have no cross-element reductions, so any
-    /// partition is bit-identical to the serial loop).
+    /// Elementwise addition in place.
     pub fn add_assign(&mut self, other: &Matrix) {
         assert_eq!(self.shape(), other.shape(), "add_assign shape mismatch");
-        if self.data.len() < parallel::PAR_MIN_ELEMS {
-            for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
-                *a += b;
-            }
-            return;
+        for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
+            *a += b;
         }
-        let src = &other.data;
-        parallel::for_each_row_chunk_mut(&mut self.data, 1, ELEMWISE_MIN_CHUNK, |start, chunk| {
-            for (a, &b) in chunk.iter_mut().zip(&src[start..]) {
-                *a += b;
-            }
-        });
     }
 
-    /// Elementwise `self += scale * other` in place (row-parallel above the
-    /// element threshold).
+    /// Elementwise `self += scale * other` in place.
     pub fn add_scaled_assign(&mut self, other: &Matrix, scale: f32) {
         assert_eq!(self.shape(), other.shape(), "add_scaled_assign shape mismatch");
-        if self.data.len() < parallel::PAR_MIN_ELEMS {
-            for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
-                *a += scale * b;
-            }
-            return;
+        for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
+            *a += scale * b;
         }
-        let src = &other.data;
-        parallel::for_each_row_chunk_mut(&mut self.data, 1, ELEMWISE_MIN_CHUNK, |start, chunk| {
-            for (a, &b) in chunk.iter_mut().zip(&src[start..]) {
-                *a += scale * b;
-            }
-        });
     }
 
-    /// Elementwise binary map producing a new matrix (parallel above the
-    /// element threshold, hence the `Sync` bound).
-    pub fn zip_map(&self, other: &Matrix, f: impl Fn(f32, f32) -> f32 + Sync) -> Matrix {
+    /// Elementwise binary map producing a new matrix.
+    pub fn zip_map(&self, other: &Matrix, f: impl Fn(f32, f32) -> f32) -> Matrix {
         assert_eq!(self.shape(), other.shape(), "zip_map shape mismatch");
-        if self.data.len() < parallel::PAR_MIN_ELEMS {
-            let data = self.data.iter().zip(other.data.iter()).map(|(&a, &b)| f(a, b)).collect();
-            return Matrix { rows: self.rows, cols: self.cols, data };
-        }
-        let mut data = vec![0.0f32; self.data.len()];
-        let (a_src, b_src) = (&self.data, &other.data);
-        parallel::for_each_row_chunk_mut(&mut data, 1, ELEMWISE_MIN_CHUNK, |start, chunk| {
-            for (i, o) in chunk.iter_mut().enumerate() {
-                *o = f(a_src[start + i], b_src[start + i]);
-            }
-        });
+        let data = self.data.iter().zip(other.data.iter()).map(|(&a, &b)| f(a, b)).collect();
         Matrix { rows: self.rows, cols: self.cols, data }
     }
 
-    /// Elementwise unary map producing a new matrix (parallel above the
-    /// element threshold, hence the `Sync` bound).
-    pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Matrix {
-        if self.data.len() < parallel::PAR_MIN_ELEMS {
-            return Matrix {
-                rows: self.rows,
-                cols: self.cols,
-                data: self.data.iter().map(|&a| f(a)).collect(),
-            };
-        }
-        let mut data = vec![0.0f32; self.data.len()];
-        let src = &self.data;
-        parallel::for_each_row_chunk_mut(&mut data, 1, ELEMWISE_MIN_CHUNK, |start, chunk| {
-            for (o, &x) in chunk.iter_mut().zip(&src[start..]) {
-                *o = f(x);
-            }
-        });
-        Matrix { rows: self.rows, cols: self.cols, data }
+    /// Elementwise unary map producing a new matrix.
+    pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
+        Matrix { rows: self.rows, cols: self.cols, data: self.data.iter().map(|&a| f(a)).collect() }
     }
 
-    /// Multiplies every element by `s` in place (row-parallel above the
-    /// element threshold).
+    /// Multiplies every element by `s` in place.
     pub fn scale_assign(&mut self, s: f32) {
-        if self.data.len() < parallel::PAR_MIN_ELEMS {
-            for a in self.data.iter_mut() {
-                *a *= s;
-            }
-            return;
+        for a in self.data.iter_mut() {
+            *a *= s;
         }
-        parallel::for_each_row_chunk_mut(&mut self.data, 1, ELEMWISE_MIN_CHUNK, |_, chunk| {
-            for a in chunk.iter_mut() {
-                *a *= s;
-            }
-        });
     }
 
     /// Sum of all elements.
@@ -461,24 +400,8 @@ impl Matrix {
         out
     }
 
-    /// Row-wise softmax in place. Large matrices partition rows across the
-    /// worker pool; each row's computation is unchanged, so results are
-    /// bit-identical to [`Matrix::softmax_rows_inplace_serial`].
+    /// Row-wise softmax in place.
     pub fn softmax_rows_inplace(&mut self) {
-        if self.data.len() < parallel::PAR_MIN_ELEMS || self.rows < 2 {
-            self.softmax_rows_inplace_serial();
-            return;
-        }
-        let cols = self.cols;
-        parallel::for_each_row_chunk_mut(&mut self.data, cols, 4, |_, chunk| {
-            for row in chunk.chunks_exact_mut(cols) {
-                softmax_slice(row);
-            }
-        });
-    }
-
-    /// Serial reference for [`Matrix::softmax_rows_inplace`].
-    pub fn softmax_rows_inplace_serial(&mut self) {
         for r in 0..self.rows {
             softmax_slice(self.row_mut(r));
         }
@@ -533,24 +456,20 @@ pub fn kernel_isa() -> &'static str {
 }
 
 /// `a @ B` for large shapes, with `B` already packed into panels (see
-/// [`pack_b_panels`]): partitions output rows across the worker pool, and
-/// each row chunk runs the `isa` clone of the microkernel over the shared
-/// panels.
+/// [`pack_b_panels`]): the `isa` clone of the microkernel over every
+/// output row.
 fn matmul_packed(isa: Isa, a: &[f32], m: usize, k: usize, panels: &[f32], n: usize) -> Matrix {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(panels.len(), n.div_ceil(NR) * k * NR);
     let mut out = Matrix::zeros(m, n);
-    parallel::for_each_row_chunk_mut(&mut out.data, n, MATMUL_MIN_CHUNK_ROWS, |start, chunk| {
-        let rows = chunk.len() / n;
-        kernel_row_block(isa, &a[start * k..(start + rows) * k], k, panels, n, chunk);
-    });
+    kernel_row_block(isa, a, k, panels, n, &mut out.data);
     out
 }
 
 /// Packs `b` (`k × n` row-major) into column panels of width `NR`: panel
 /// `p` holds columns `p·NR ..` stored `k`-major, zero-padded to `NR` so the
-/// microkernel always reads full panel rows. Shared read-only across all
-/// row chunks; a parameter's panels are kept until its next write (see
+/// microkernel always reads full panel rows. A parameter's panels are kept
+/// until its next write (see
 /// [`Matrix::matmul_with_panels`]).
 fn pack_b_panels(b: &[f32], k: usize, n: usize) -> Vec<f32> {
     obs::counter_add(obs::Metric::NnMatmulPacks, 1);
@@ -737,17 +656,14 @@ mod tests {
     }
 
     #[test]
-    fn packed_parallel_kernels_match_serial_bitwise() {
-        // 48·64·64 FMAs is above PAR_MIN_FMAS, so the packed/parallel path
-        // runs; results must equal the serial references bit for bit.
+    fn packed_kernels_match_serial_bitwise() {
+        // 48·64·64 FMAs is above PACKED_MIN_FMAS, so the packed path runs;
+        // results must equal the serial references bit for bit.
         let a = Matrix::from_fn(48, 64, |r, c| ((r * 37 + c * 11) % 23) as f32 * 0.13 - 1.4);
         let b = Matrix::from_fn(64, 64, |r, c| ((r * 5 + c * 29) % 19) as f32 * 0.21 - 1.9);
-        let _g = crate::parallel::global_lock();
-        crate::parallel::set_thread_override(Some(3));
         let fast = a.matmul(&b);
         let tb = a.matmul_transpose_b(&b);
         let ta = a.transpose_a_matmul(&a.matmul(&b));
-        crate::parallel::set_thread_override(None);
         assert_eq!(fast, a.matmul_serial(&b));
         assert_eq!(tb, a.matmul_transpose_b_serial(&b));
         assert_eq!(ta, a.transpose_a_matmul_serial(&a.matmul_serial(&b)));

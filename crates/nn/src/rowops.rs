@@ -1,19 +1,11 @@
-//! Row-partitioned dense helpers shared by the autograd ops.
+//! Row-wise dense helpers shared by the autograd ops.
 //!
-//! These free functions operate on raw `f32` buffers (no tensor graph), so
-//! they can be driven by the worker pool: rows are partitioned across
-//! tasks, each row's math is byte-for-byte the serial loop, and the
-//! dispatch blocks until every chunk completes — results are bit-identical
-//! at any thread count.
-
-use std::ops::Range;
+//! These free functions operate on raw `f32` buffers (no tensor graph).
 
 use crate::matrix::Matrix;
-use crate::parallel;
 
-/// Row-partitioned layer-norm forward: returns `(xhat, inv_std, out)`.
-/// Each row's statistics and normalization are computed independently, so
-/// the parallel partition is bit-identical to the serial loop.
+/// Layer-norm forward: returns `(xhat, inv_std, out)`. Each row's
+/// statistics and normalization are computed independently.
 pub(crate) fn layer_norm_forward(
     xs: &[f32],
     rows: usize,
@@ -25,46 +17,23 @@ pub(crate) fn layer_norm_forward(
     let mut xhat = Matrix::zeros(rows, d);
     let mut inv_std = vec![0.0f32; rows];
     let mut out = Matrix::zeros(rows, d);
-    let run = |range: Range<usize>, xhat_c: &mut [f32], istd_c: &mut [f32], out_c: &mut [f32]| {
-        for (local, r) in range.enumerate() {
-            let row = &xs[r * d..(r + 1) * d];
-            let mean = row.iter().sum::<f32>() / d as f32;
-            let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
-            let istd = 1.0 / (var + eps).sqrt();
-            istd_c[local] = istd;
-            let xh = &mut xhat_c[local * d..(local + 1) * d];
-            let o = &mut out_c[local * d..(local + 1) * d];
-            for c in 0..d {
-                xh[c] = (row[c] - mean) * istd;
-                o[c] = xh[c] * gamma[c] + beta[c];
-            }
+    for r in 0..rows {
+        let row = &xs[r * d..(r + 1) * d];
+        let mean = row.iter().sum::<f32>() / d as f32;
+        let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
+        let istd = 1.0 / (var + eps).sqrt();
+        inv_std[r] = istd;
+        let xh = xhat.row_mut(r);
+        let o = out.row_mut(r);
+        for c in 0..d {
+            xh[c] = (row[c] - mean) * istd;
+            o[c] = xh[c] * gamma[c] + beta[c];
         }
-    };
-    if rows * d < parallel::PAR_MIN_ELEMS || rows < 2 {
-        run(0..rows, xhat.data_mut(), &mut inv_std, out.data_mut());
-    } else {
-        let xhat_ptr = parallel::SharedMut::new(xhat.data_mut().as_mut_ptr());
-        let istd_ptr = parallel::SharedMut::new(inv_std.as_mut_ptr());
-        let out_ptr = parallel::SharedMut::new(out.data_mut().as_mut_ptr());
-        parallel::for_each_row_chunk(rows, 4, |range| {
-            let len = range.len();
-            // SAFETY: row ranges are disjoint across tasks and the dispatch
-            // blocks until every task completes, so each task has exclusive
-            // access to its slice of all three buffers.
-            unsafe {
-                let xh =
-                    std::slice::from_raw_parts_mut(xhat_ptr.get().add(range.start * d), len * d);
-                let istd = std::slice::from_raw_parts_mut(istd_ptr.get().add(range.start), len);
-                let o = std::slice::from_raw_parts_mut(out_ptr.get().add(range.start * d), len * d);
-                run(range, xh, istd, o);
-            }
-        });
     }
     (xhat, inv_std, out)
 }
 
-/// Row-partitioned layer-norm input gradient (same per-row math as the
-/// original serial loop, hence bit-identical at any thread count).
+/// Layer-norm input gradient.
 pub(crate) fn layer_norm_backward_dx(
     g: &[f32],
     rows: usize,
@@ -75,69 +44,21 @@ pub(crate) fn layer_norm_backward_dx(
 ) -> Matrix {
     let mut dx = Matrix::zeros(rows, d);
     let xh = xhat.data();
-    let run = |range: Range<usize>, dx_c: &mut [f32]| {
-        let mut dxhat = vec![0.0f32; d];
-        for (local, r) in range.enumerate() {
-            let gr = &g[r * d..(r + 1) * d];
-            let xr = &xh[r * d..(r + 1) * d];
-            for c in 0..d {
-                dxhat[c] = gr[c] * gamma[c];
-            }
-            let mean_dxhat = dxhat.iter().sum::<f32>() / d as f32;
-            let mean_dxhat_xhat =
-                dxhat.iter().zip(xr.iter()).map(|(&v, &x)| v * x).sum::<f32>() / d as f32;
-            let istd = inv_std[r];
-            let o = &mut dx_c[local * d..(local + 1) * d];
-            for c in 0..d {
-                o[c] = istd * (dxhat[c] - mean_dxhat - xr[c] * mean_dxhat_xhat);
-            }
+    let mut dxhat = vec![0.0f32; d];
+    for r in 0..rows {
+        let gr = &g[r * d..(r + 1) * d];
+        let xr = &xh[r * d..(r + 1) * d];
+        for c in 0..d {
+            dxhat[c] = gr[c] * gamma[c];
         }
-    };
-    if rows * d < parallel::PAR_MIN_ELEMS || rows < 2 {
-        run(0..rows, dx.data_mut());
-    } else {
-        let dx_ptr = parallel::SharedMut::new(dx.data_mut().as_mut_ptr());
-        parallel::for_each_row_chunk(rows, 4, |range| {
-            let len = range.len();
-            // SAFETY: disjoint row ranges; dispatch blocks until completion.
-            unsafe {
-                let o = std::slice::from_raw_parts_mut(dx_ptr.get().add(range.start * d), len * d);
-                run(range, o);
-            }
-        });
+        let mean_dxhat = dxhat.iter().sum::<f32>() / d as f32;
+        let mean_dxhat_xhat =
+            dxhat.iter().zip(xr.iter()).map(|(&v, &x)| v * x).sum::<f32>() / d as f32;
+        let istd = inv_std[r];
+        let o = dx.row_mut(r);
+        for c in 0..d {
+            o[c] = istd * (dxhat[c] - mean_dxhat - xr[c] * mean_dxhat_xhat);
+        }
     }
     dx
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn bits(xs: &[f32]) -> Vec<u32> {
-        xs.iter().map(|x| x.to_bits()).collect()
-    }
-
-    #[test]
-    fn layer_norm_pool_path_matches_single_thread_bitwise() {
-        let _g = parallel::global_lock();
-        // 96·384 elements is past PAR_MIN_ELEMS, so 4 threads take the pool.
-        let (rows, d) = (96, 384);
-        let x = Matrix::from_fn(rows, d, |r, c| ((r * 131 + c * 17) % 97) as f32 * 0.043 - 2.1);
-        let g = Matrix::from_fn(rows, d, |r, c| ((r * 7 + c * 53) % 89) as f32 * 0.029 - 1.3);
-        let gamma: Vec<f32> = (0..d).map(|c| 0.5 + (c % 13) as f32 * 0.07).collect();
-        let beta: Vec<f32> = (0..d).map(|c| (c % 11) as f32 * 0.05 - 0.25).collect();
-        let run = |threads| {
-            parallel::set_thread_override(Some(threads));
-            let (xhat, inv_std, out) = layer_norm_forward(x.data(), rows, d, &gamma, &beta, 1e-5);
-            let dx = layer_norm_backward_dx(g.data(), rows, d, &gamma, &xhat, &inv_std);
-            parallel::set_thread_override(None);
-            (xhat, inv_std, out, dx)
-        };
-        let (xhat_s, istd_s, out_s, dx_s) = run(1);
-        let (xhat_p, istd_p, out_p, dx_p) = run(4);
-        assert_eq!(bits(xhat_p.data()), bits(xhat_s.data()), "layer_norm xhat differs");
-        assert_eq!(bits(&istd_p), bits(&istd_s), "layer_norm inv_std differs");
-        assert_eq!(bits(out_p.data()), bits(out_s.data()), "layer_norm out differs");
-        assert_eq!(bits(dx_p.data()), bits(dx_s.data()), "layer_norm dx differs");
-    }
 }

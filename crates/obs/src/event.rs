@@ -98,7 +98,7 @@ impl From<String> for FieldValue {
 pub struct Event {
     /// Event class.
     pub kind: EventKind,
-    /// Stable dotted name (`pretrain.epoch`, `nn.dispatch.pool`, …).
+    /// Stable dotted name (`pretrain.epoch`, `nn.matmul.calls`, …).
     pub name: &'static str,
     /// Primary payload value; meaning depends on `kind`.
     pub value: f64,

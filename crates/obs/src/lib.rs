@@ -358,7 +358,7 @@ mod tests {
         assert_eq!(evs.len(), Metric::ALL.len() + HistMetric::ALL.len());
         let q = evs.iter().find(|e| e.name == "engine.queries").unwrap();
         assert_eq!(q.value, 3.0);
-        let untouched = evs.iter().find(|e| e.name == "nn.dispatch.pool").unwrap();
+        let untouched = evs.iter().find(|e| e.name == "serve.shard.panics").unwrap();
         assert_eq!(untouched.value, 0.0);
     }
 

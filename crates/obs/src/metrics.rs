@@ -6,8 +6,8 @@
 //! path, no hashing), and is always present in snapshots and flushes —
 //! including zero-valued ones. That last property is what makes flush
 //! event counts *exactly* deterministic regardless of which code paths
-//! ran (e.g. `PREQR_THREADS=1` never touches the pool-dispatch counter,
-//! but the counter still appears in every flush).
+//! ran (e.g. a run whose trace sink never fails never touches
+//! `obs.sink.degraded`, but the counter still appears in every flush).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -16,11 +16,6 @@ use std::sync::Mutex;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Metric {
-    /// Kernel dispatches that ran entirely on the calling thread
-    /// (small shapes, single-thread config, or nested-in-worker).
-    NnDispatchInline,
-    /// Kernel dispatches fanned out to the worker pool.
-    NnDispatchPool,
     /// `Matrix::matmul` family entry calls (all variants).
     NnMatmulCalls,
     /// Weight operands packed into microkernel panels (`pack_b_panels`,
@@ -75,9 +70,7 @@ pub enum Metric {
 
 impl Metric {
     /// Every counter, in flush order.
-    pub const ALL: [Metric; 26] = [
-        Metric::NnDispatchInline,
-        Metric::NnDispatchPool,
+    pub const ALL: [Metric; 24] = [
         Metric::NnMatmulCalls,
         Metric::NnMatmulPacks,
         Metric::PretrainMaskedTokens,
@@ -107,8 +100,6 @@ impl Metric {
     /// Stable dotted event name.
     pub fn name(self) -> &'static str {
         match self {
-            Metric::NnDispatchInline => "nn.dispatch.inline",
-            Metric::NnDispatchPool => "nn.dispatch.pool",
             Metric::NnMatmulCalls => "nn.matmul.calls",
             Metric::NnMatmulPacks => "nn.matmul.packs",
             Metric::PretrainMaskedTokens => "pretrain.masked_tokens",

@@ -22,8 +22,7 @@
 //!   its template's most recent miss); exact repeats stay bit-identical.
 //! * Every processed request emits exactly one `serve.request` span
 //!   (carrying its shard index), so traced event counts depend on the
-//!   request script, never on `max_batch`, `shards`, worker-pool width,
-//!   or timing. Batch and shard geometry surface only through counters
+//!   request script, never on `max_batch`, `shards` or timing. Batch and shard geometry surface only through counters
 //!   and histograms, whose *flush* cost is fixed by the closed
 //!   `preqr-obs` registry.
 //!

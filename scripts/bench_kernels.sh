@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Kernel benchmark: serial reference kernels vs packed/parallel fast paths.
+# Kernel benchmark: serial reference kernels vs packed fast paths.
 # Runs crates/bench/src/bin/bench_kernels.rs and writes
 # results/BENCH_kernels.json.
 set -euo pipefail

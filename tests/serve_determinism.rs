@@ -1,7 +1,6 @@
 //! Deterministic-serving acceptance test: replaying a fixed request
 //! script must yield bit-identical embeddings per request and identical
-//! traced event counts across worker-pool widths (`PREQR_THREADS`-style
-//! overrides) *and* micro-batch geometries (`max_batch`).
+//! traced event counts across micro-batch geometries (`max_batch`).
 //!
 //! Why this holds (see `DESIGN.md` §9): embeddings are batch-invariant
 //! at the model layer, the serving worker replays cache operations in
@@ -13,7 +12,6 @@
 use std::sync::Arc;
 
 use preqr::{PreqrConfig, SqlBert, ValueBuckets};
-use preqr_nn::parallel;
 use preqr_obs as obs;
 use preqr_obs::{EventKind, HistMetric, Metric};
 use preqr_schema::{Column, ColumnType, Schema, Table};
@@ -68,10 +66,9 @@ struct Replay {
     serve_counters: Vec<(&'static str, u64)>,
 }
 
-/// Replays `SCRIPT` through a fresh traced service under the given
-/// worker-pool width and batch geometry.
-fn replay(threads: usize, max_batch: usize) -> Replay {
-    parallel::set_thread_override(Some(threads));
+/// Replays `SCRIPT` through a fresh traced service under the given batch
+/// geometry.
+fn replay(max_batch: usize) -> Replay {
     let sink = Arc::new(obs::TestSink::new());
     obs::reset_metrics();
     obs::install_sink(sink.clone());
@@ -96,7 +93,6 @@ fn replay(threads: usize, max_batch: usize) -> Replay {
     let snap = obs::snapshot();
     obs::set_metrics_enabled(false);
     obs::reset_metrics();
-    parallel::set_thread_override(None);
 
     let serve_counters = Metric::ALL
         .iter()
@@ -108,8 +104,8 @@ fn replay(threads: usize, max_batch: usize) -> Replay {
 }
 
 #[test]
-fn fixed_script_replays_identically_across_threads_and_batching() {
-    let base = replay(1, 1);
+fn fixed_script_replays_identically_across_batching() {
+    let base = replay(1);
 
     // The baseline itself: every parseable request answered, one span per
     // processed request, and the flush emits the full fixed registry.
@@ -123,31 +119,27 @@ fn fixed_script_replays_identically_across_threads_and_batching() {
         "event stream = one span per request + one fixed-registry flush"
     );
 
-    for (threads, max_batch) in [(1, 16), (8, 1), (8, 16)] {
-        let run = replay(threads, max_batch);
-        assert_eq!(
-            run.outputs, base.outputs,
-            "embeddings diverged at threads={threads} max_batch={max_batch}"
-        );
-        assert_eq!(
-            run.events.len(),
-            base.events.len(),
-            "event count diverged at threads={threads} max_batch={max_batch}"
-        );
-        let kinds = |evs: &[obs::Event]| {
-            let count = |k: EventKind| evs.iter().filter(|e| e.kind == k).count();
-            (count(EventKind::Span), count(EventKind::Counter), count(EventKind::Hist))
-        };
-        assert_eq!(
-            kinds(&run.events),
-            kinds(&base.events),
-            "event kinds diverged at threads={threads} max_batch={max_batch}"
-        );
-        assert_eq!(
-            run.serve_counters, base.serve_counters,
-            "serving counters diverged at threads={threads} max_batch={max_batch}"
-        );
-    }
+    let max_batch = 16;
+    let run = replay(max_batch);
+    assert_eq!(run.outputs, base.outputs, "embeddings diverged at max_batch={max_batch}");
+    assert_eq!(
+        run.events.len(),
+        base.events.len(),
+        "event count diverged at max_batch={max_batch}"
+    );
+    let kinds = |evs: &[obs::Event]| {
+        let count = |k: EventKind| evs.iter().filter(|e| e.kind == k).count();
+        (count(EventKind::Span), count(EventKind::Counter), count(EventKind::Hist))
+    };
+    assert_eq!(
+        kinds(&run.events),
+        kinds(&base.events),
+        "event kinds diverged at max_batch={max_batch}"
+    );
+    assert_eq!(
+        run.serve_counters, base.serve_counters,
+        "serving counters diverged at max_batch={max_batch}"
+    );
 
     // The cache did real work on this script (three repeated templates).
     let hits = base.serve_counters.iter().find(|(n, _)| *n == "serve.cache.hits").unwrap().1;

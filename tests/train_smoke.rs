@@ -1,7 +1,6 @@
 //! CI train-smoke: one pretraining epoch plus one estimation fine-tune
 //! through the shared `preqr-train` Trainer, and the pretrain-level
-//! checkpoint/halt/resume path. Run under `PREQR_THREADS={1,8}` by the
-//! CI `train-smoke` job — every assertion here is thread-invariant.
+//! checkpoint/halt/resume path. Run by the CI `train-smoke` job.
 
 use preqr::{PreqrConfig, PretrainOptions, SqlBert};
 use preqr_data::imdb::{generate, ImdbConfig};
