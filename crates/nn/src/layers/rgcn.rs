@@ -5,7 +5,7 @@
 //! The normalization constant λ is `|N_i^r|` as suggested by the paper; the
 //! self-connection edge the paper adds per vertex is the `W_self` term.
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use rand::Rng;
 
@@ -18,7 +18,7 @@ use crate::tensor::Tensor;
 /// weighted in-neighbours of vertex `i`.
 #[derive(Clone, Debug, Default)]
 pub struct RelAdjacency {
-    adj: Rc<Vec<Vec<(usize, f32)>>>,
+    adj: Arc<Vec<Vec<(usize, f32)>>>,
 }
 
 impl RelAdjacency {
@@ -38,7 +38,7 @@ impl RelAdjacency {
                 }
             }
         }
-        Self { adj: Rc::new(lists) }
+        Self { adj: Arc::new(lists) }
     }
 
     /// Number of vertices.
@@ -56,8 +56,8 @@ impl RelAdjacency {
         self.adj.iter().map(Vec::len).sum()
     }
 
-    pub(crate) fn lists(&self) -> Rc<Vec<Vec<(usize, f32)>>> {
-        Rc::clone(&self.adj)
+    pub(crate) fn lists(&self) -> Arc<Vec<Vec<(usize, f32)>>> {
+        Arc::clone(&self.adj)
     }
 }
 

@@ -17,7 +17,7 @@
 //! tile's columns leaves each element's rounding sequence unchanged: every
 //! clone is bit-identical to the serial references.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use preqr_obs as obs;
 
@@ -172,7 +172,7 @@ impl Matrix {
     pub(crate) fn matmul_with_panels(
         &self,
         other: &Matrix,
-        panels: &mut Option<Vec<f32>>,
+        panels: &mut crate::tensor::Panels,
     ) -> Matrix {
         assert_eq!(
             self.cols, other.rows,
@@ -185,7 +185,7 @@ impl Matrix {
         if m * k * n < PACKED_MIN_FMAS || m < 2 * MR {
             return self.matmul_serial(other);
         }
-        let panels = panels.get_or_insert_with(|| pack_b_panels(&other.data, k, n));
+        let panels = panels.get_or_insert_with(|| Arc::new(pack_b_panels(&other.data, k, n)));
         matmul_packed(Isa::selected(), &self.data, m, k, panels, n)
     }
 

@@ -6,7 +6,7 @@
 //! algebra, activations, normalization, attention building blocks,
 //! embedding lookup, graph neighbourhood aggregation (R-GCN), and losses.
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use rand::Rng;
 
@@ -209,7 +209,7 @@ pub fn concat_rows(a: &Tensor, b: &Tensor) -> Tensor {
 /// Selects rows `indices` (embedding lookup; indices may repeat).
 pub fn gather_rows(table: &Tensor, indices: &[usize]) -> Tensor {
     let v = table.value().gather_rows(indices);
-    let idx: Rc<[usize]> = indices.into();
+    let idx: Arc<[usize]> = indices.into();
     Tensor::from_op(
         v,
         vec![table.clone()],
@@ -425,8 +425,8 @@ pub fn layer_norm(x: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32) -> Tensor
     drop(xv);
     drop(gv);
     drop(bv);
-    let xhat = Rc::new(xhat);
-    let inv_std = Rc::new(inv_std);
+    let xhat = Arc::new(xhat);
+    let inv_std = Arc::new(inv_std);
     Tensor::from_op(
         out,
         vec![x.clone(), gamma.clone(), beta.clone()],
@@ -478,7 +478,7 @@ pub fn dropout(a: &Tensor, p: f32, training: bool, rng: &mut impl Rng) -> Tensor
     });
     let v = av.zip_map(&mask, |x, m| x * m);
     drop(av);
-    let mask = Rc::new(mask);
+    let mask = Arc::new(mask);
     Tensor::from_op(
         v,
         vec![a.clone()],
@@ -504,7 +504,7 @@ pub fn identity(a: &Tensor) -> Tensor {
 ///
 /// This is the sparse primitive underlying the R-GCN propagation rule
 /// (Eq. 3); `adj` holds, for each output row, the weighted in-neighbours.
-pub fn neighbor_agg(h: &Tensor, adj: Rc<Vec<Vec<(usize, f32)>>>) -> Tensor {
+pub fn neighbor_agg(h: &Tensor, adj: Arc<Vec<Vec<(usize, f32)>>>) -> Tensor {
     let hv = h.value();
     let cols = hv.cols();
     let mut out = Matrix::zeros(adj.len(), cols);
@@ -518,7 +518,7 @@ pub fn neighbor_agg(h: &Tensor, adj: Rc<Vec<Vec<(usize, f32)>>>) -> Tensor {
         }
     }
     drop(hv);
-    let adj_b = Rc::clone(&adj);
+    let adj_b = Arc::clone(&adj);
     Tensor::from_op(
         out,
         vec![h.clone()],
@@ -563,8 +563,8 @@ pub fn cross_entropy_logits(logits: &Tensor, targets: &[usize]) -> Tensor {
     let count = count.max(1);
     loss /= count as f32;
     drop(lv);
-    let probs = Rc::new(probs);
-    let targets: Rc<[usize]> = targets.into();
+    let probs = Arc::new(probs);
+    let targets: Arc<[usize]> = targets.into();
     Tensor::from_op(
         Matrix::full(1, 1, loss),
         vec![logits.clone()],
@@ -809,8 +809,8 @@ mod tests {
 
     #[test]
     fn grad_neighbor_agg() {
-        let adj = Rc::new(vec![vec![(0, 0.5), (1, 0.5)], vec![(2, 1.0)], vec![(0, 0.25)]]);
-        grad_check((3, 2), seeded, move |x| sum_all(&neighbor_agg(x, Rc::clone(&adj))));
+        let adj = Arc::new(vec![vec![(0, 0.5), (1, 0.5)], vec![(2, 1.0)], vec![(0, 0.25)]]);
+        grad_check((3, 2), seeded, move |x| sum_all(&neighbor_agg(x, Arc::clone(&adj))));
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Reverse-mode automatic differentiation over [`Matrix`] values.
 //!
-//! A [`Tensor`] is a reference-counted node in a dynamically-built
-//! computation graph. Operations (defined in [`crate::ops`]) create new
-//! nodes whose backward closures scatter gradients into their parents.
+//! A [`Tensor`] is an atomically reference-counted node in a
+//! dynamically-built computation graph. Operations (defined in
+//! [`crate::ops`]) create new nodes whose backward closures scatter
+//! gradients into their parents.
 //! Calling [`Tensor::backward`] on a scalar output performs a topological
 //! sweep and accumulates gradients into every parameter that participated
 //! in the computation.
@@ -10,25 +11,32 @@
 //! The graph is built per forward pass and dropped afterwards; parameters
 //! ([`Tensor::param`]) are the only long-lived nodes and keep their
 //! accumulated gradient until the optimizer consumes it.
+//!
+//! Tensors are `Send + Sync`: threads may share one model's parameters
+//! and build graphs over them at once. Node ids are unique across the
+//! process, so graphs built on different threads can meet; the no-grad
+//! mode is per-thread.
 
-use std::cell::{Cell, Ref, RefCell};
+use std::cell::Cell;
 use std::collections::HashSet;
-use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
 
 use crate::matrix::Matrix;
 
+static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+
 thread_local! {
-    static NEXT_ID: Cell<u64> = const { Cell::new(0) };
     static NO_GRAD_DEPTH: Cell<u32> = const { Cell::new(0) };
 }
 
 fn next_id() -> u64 {
-    NEXT_ID.with(|c| {
-        let id = c.get();
-        c.set(id + 1);
-        id
-    })
+    NEXT_ID.fetch_add(1, Ordering::Relaxed)
 }
+
+/// A panic inside [`Tensor::update_value`]'s closure may leave the value
+/// half-written, so later reads and writes refuse it.
+const POISONED: &str = "a write to this tensor's value panicked";
 
 /// True while the current thread is inside a [`no_grad`] scope.
 pub fn no_grad_active() -> bool {
@@ -85,20 +93,30 @@ pub struct BackwardCtx<'a> {
     pub parents: &'a [Tensor],
 }
 
-type BackwardFn = Box<dyn Fn(&BackwardCtx<'_>)>;
+type BackwardFn = Box<dyn Fn(&BackwardCtx<'_>) + Send + Sync>;
+
+/// A parameter's packed forward matmul panels, shared by the threads
+/// that read them.
+pub(crate) type Panels = Option<Arc<Vec<f32>>>;
 
 pub(crate) struct TensorData {
     id: u64,
     /// Bumped by every write to `value` ([`Tensor::set_value`],
     /// [`Tensor::update_value`]), so caches derived from a parameter can
-    /// tell whether it changed since they were filled.
-    version: Cell<u64>,
-    value: RefCell<Matrix>,
+    /// tell whether it changed since they were filled. Bumped under
+    /// `value`'s write lock with `Release`, read with `Acquire`, so a
+    /// reader that sees a new version also sees the write behind it.
+    version: AtomicU64,
+    value: RwLock<Matrix>,
     /// A parameter's forward matmul panels (`value` packed for the
     /// microkernel), filled by the first packed matmul that has it as the
     /// right operand and emptied by every write. Unused by other nodes.
-    panels: RefCell<Option<Vec<f32>>>,
-    grad: RefCell<Option<Matrix>>,
+    /// Filled only under `value`'s read lock and emptied only under its
+    /// write lock, so panels of an old value are never stored after a
+    /// write. Lock order: `value`, then `panels`. The slot is only ever
+    /// replaced whole, so a poisoned guard is recovered.
+    panels: RwLock<Panels>,
+    grad: Mutex<Option<Matrix>>,
     requires_grad: bool,
     parents: Vec<Tensor>,
     backward: Option<BackwardFn>,
@@ -106,13 +124,13 @@ pub(crate) struct TensorData {
 
 /// A node in the autograd graph holding a [`Matrix`] value.
 ///
-/// Cloning a `Tensor` is cheap (it clones an `Rc`).
+/// Cloning a `Tensor` is cheap (it clones an `Arc`).
 #[derive(Clone)]
-pub struct Tensor(Rc<TensorData>);
+pub struct Tensor(Arc<TensorData>);
 
 impl std::fmt::Debug for Tensor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let v = self.0.value.borrow();
+        let v = self.value();
         f.debug_struct("Tensor")
             .field("id", &self.0.id)
             .field("shape", &v.shape())
@@ -124,31 +142,13 @@ impl std::fmt::Debug for Tensor {
 impl Tensor {
     /// Creates a constant leaf tensor (no gradient is tracked through it).
     pub fn constant(value: Matrix) -> Self {
-        Tensor(Rc::new(TensorData {
-            id: next_id(),
-            version: Cell::new(0),
-            value: RefCell::new(value),
-            panels: RefCell::new(None),
-            grad: RefCell::new(None),
-            requires_grad: false,
-            parents: Vec::new(),
-            backward: None,
-        }))
+        Tensor::node(value, false, Vec::new(), None)
     }
 
     /// Creates a trainable parameter leaf. Gradients accumulate into it
     /// across [`Tensor::backward`] calls until cleared by the optimizer.
     pub fn param(value: Matrix) -> Self {
-        Tensor(Rc::new(TensorData {
-            id: next_id(),
-            version: Cell::new(0),
-            value: RefCell::new(value),
-            panels: RefCell::new(None),
-            grad: RefCell::new(None),
-            requires_grad: true,
-            parents: Vec::new(),
-            backward: None,
-        }))
+        Tensor::node(value, true, Vec::new(), None)
     }
 
     /// Creates an interior node produced by an op.
@@ -165,19 +165,29 @@ impl Tensor {
             return Tensor::constant(value);
         }
         let requires_grad = parents.iter().any(|p| p.0.requires_grad);
-        Tensor(Rc::new(TensorData {
+        Tensor::node(value, requires_grad, parents, Some(backward))
+    }
+
+    fn node(
+        value: Matrix,
+        requires_grad: bool,
+        parents: Vec<Tensor>,
+        backward: Option<BackwardFn>,
+    ) -> Self {
+        Tensor(Arc::new(TensorData {
             id: next_id(),
-            version: Cell::new(0),
-            value: RefCell::new(value),
-            panels: RefCell::new(None),
-            grad: RefCell::new(None),
+            version: AtomicU64::new(0),
+            value: RwLock::new(value),
+            panels: RwLock::new(None),
+            grad: Mutex::new(None),
             requires_grad,
             parents,
-            backward: Some(backward),
+            backward,
         }))
     }
 
-    /// Unique node id (process-local, monotonically increasing).
+    /// Unique node id: process-wide, never reused, increasing in creation
+    /// order on each thread.
     pub fn id(&self) -> u64 {
         self.0.id
     }
@@ -187,63 +197,72 @@ impl Tensor {
         self.0.requires_grad
     }
 
-    /// Borrow of the forward value.
-    pub fn value(&self) -> Ref<'_, Matrix> {
-        self.0.value.borrow()
+    /// Shared read access to the forward value. Writes
+    /// ([`Tensor::set_value`], [`Tensor::update_value`]) wait until every
+    /// guard is dropped, and a waiting write blocks new reads: a thread
+    /// that holds a guard and reads the same tensor again while another
+    /// thread writes it can deadlock. Weights are written only between
+    /// reads (optimizer steps, loading), never during them.
+    pub fn value(&self) -> RwLockReadGuard<'_, Matrix> {
+        self.0.value.read().expect(POISONED)
     }
 
     /// Owned copy of the forward value.
     pub fn value_clone(&self) -> Matrix {
-        self.0.value.borrow().clone()
+        self.value().clone()
     }
 
     /// `(rows, cols)` of the forward value.
     pub fn shape(&self) -> (usize, usize) {
-        self.0.value.borrow().shape()
+        self.value().shape()
     }
 
     /// Write version of the value: starts at 0 and grows by one with
     /// every [`Tensor::set_value`] / [`Tensor::update_value`], the only
     /// ways to change a tensor's value after creation.
     pub fn version(&self) -> u64 {
-        self.0.version.get()
+        self.0.version.load(Ordering::Acquire)
     }
 
     /// Overwrites the stored value in place (used by optimizers and by
     /// parameter loading). Shape must match.
     pub fn set_value(&self, value: Matrix) {
-        let mut v = self.0.value.borrow_mut();
-        assert_eq!(v.shape(), value.shape(), "set_value shape mismatch");
-        *v = value;
-        self.bump_version();
+        assert_eq!(self.shape(), value.shape(), "set_value shape mismatch");
+        self.update_value(|v| *v = value);
     }
 
     /// Applies `f` to the stored value in place.
     pub fn update_value(&self, f: impl FnOnce(&mut Matrix)) {
-        f(&mut self.0.value.borrow_mut());
-        self.bump_version();
-    }
-
-    fn bump_version(&self) {
-        self.0.version.set(self.0.version.get() + 1);
-        *self.0.panels.borrow_mut() = None;
+        let mut value = self.0.value.write().expect(POISONED);
+        f(&mut value);
+        // Still under the write lock: no reader can store panels of the
+        // old value after this, nor pack the new one before it.
+        self.0.version.fetch_add(1, Ordering::Release);
+        *self.0.panels.write().unwrap_or_else(PoisonError::into_inner) = None;
     }
 
     /// Runs `f` on the value and a slot for its packed forward matmul
-    /// panels (see [`Matrix::matmul_with_panels`]). A parameter lends its
-    /// own slot, which keeps the panels until [`Tensor::bump_version`]
-    /// empties it; any other tensor lends an empty slot that is dropped
-    /// after `f`.
-    pub(crate) fn with_forward_panels<R>(
-        &self,
-        f: impl FnOnce(&Matrix, &mut Option<Vec<f32>>) -> R,
-    ) -> R {
-        let value = self.0.value.borrow();
-        if self.is_param() {
-            f(&value, &mut self.0.panels.borrow_mut())
-        } else {
-            f(&value, &mut None)
+    /// panels (see [`Matrix::matmul_with_panels`]). A parameter lends a
+    /// copy of its own slot and keeps whatever `f` packed into an empty
+    /// one, until the next write empties it; any other tensor lends an
+    /// empty slot that is dropped after `f`. No lock on the slot is held
+    /// while `f` runs, and a warm slot is only ever read-locked, so
+    /// threads sharing a parameter never wait on each other here.
+    pub(crate) fn with_forward_panels<R>(&self, f: impl FnOnce(&Matrix, &mut Panels) -> R) -> R {
+        let value = self.value();
+        if !self.is_param() {
+            return f(&value, &mut None);
         }
+        let mut panels = self.0.panels.read().unwrap_or_else(PoisonError::into_inner).clone();
+        let cold = panels.is_none();
+        let out = f(&value, &mut panels);
+        if cold && panels.is_some() {
+            // `value` is still read-locked, so no write has landed since
+            // these panels were packed from it. Two threads may both pack
+            // a cold weight; the later store replaces equal panels.
+            *self.0.panels.write().unwrap_or_else(PoisonError::into_inner) = panels;
+        }
+        out
     }
 
     /// True for a [`Tensor::param`] leaf: the only node that requires a
@@ -252,19 +271,26 @@ impl Tensor {
         self.0.requires_grad && self.0.backward.is_none()
     }
 
+    /// The gradient slot, recovered from a thread that panicked while
+    /// holding it: the slot is only ever replaced whole or added into
+    /// after a shape check, so it is never left half-written.
+    fn grad_slot(&self) -> MutexGuard<'_, Option<Matrix>> {
+        self.0.grad.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Owned copy of the accumulated gradient, if any.
     pub fn grad(&self) -> Option<Matrix> {
-        self.0.grad.borrow().clone()
+        self.grad_slot().clone()
     }
 
     /// Removes and returns the accumulated gradient.
     pub fn take_grad(&self) -> Option<Matrix> {
-        self.0.grad.borrow_mut().take()
+        self.grad_slot().take()
     }
 
     /// Clears the accumulated gradient.
     pub fn zero_grad(&self) {
-        *self.0.grad.borrow_mut() = None;
+        *self.grad_slot() = None;
     }
 
     /// Adds `g` into this node's gradient buffer (no-op when the node does
@@ -273,7 +299,7 @@ impl Tensor {
         if !self.0.requires_grad {
             return;
         }
-        let mut slot = self.0.grad.borrow_mut();
+        let mut slot = self.grad_slot();
         match slot.as_mut() {
             Some(acc) => acc.add_assign(g),
             None => *slot = Some(g.clone()),
@@ -308,10 +334,11 @@ impl Tensor {
             return;
         }
         // Topological order via iterative post-order DFS over nodes that
-        // require gradients.
-        let mut topo: Vec<Tensor> = Vec::new();
+        // require gradients. `self` owns the whole graph for the sweep, so
+        // it is walked by reference.
+        let mut topo: Vec<&Tensor> = Vec::new();
         let mut visited: HashSet<u64> = HashSet::new();
-        let mut stack: Vec<(Tensor, bool)> = vec![(self.clone(), false)];
+        let mut stack: Vec<(&Tensor, bool)> = vec![(self, false)];
         while let Some((node, processed)) = stack.pop() {
             if processed {
                 topo.push(node);
@@ -320,10 +347,10 @@ impl Tensor {
             if !visited.insert(node.0.id) {
                 continue;
             }
-            stack.push((node.clone(), true));
+            stack.push((node, true));
             for p in &node.0.parents {
                 if p.0.requires_grad && !visited.contains(&p.0.id) {
-                    stack.push((p.clone(), false));
+                    stack.push((p, false));
                 }
             }
         }
@@ -335,15 +362,12 @@ impl Tensor {
             let Some(backward) = node.0.backward.as_ref() else {
                 continue;
             };
-            let grad = node.0.grad.borrow().clone();
-            let Some(grad) = grad else { continue };
-            let value = node.0.value.borrow();
+            // Interior gradients are transient; take them so long graphs
+            // don't hold every intermediate gradient at once.
+            let Some(grad) = node.take_grad() else { continue };
+            let value = node.value();
             let ctx = BackwardCtx { grad_out: &grad, value_out: &value, parents: &node.0.parents };
             backward(&ctx);
-            drop(value);
-            // Interior gradients are transient; free them eagerly so long
-            // graphs don't hold every intermediate gradient at once.
-            *node.0.grad.borrow_mut() = None;
         }
     }
 }
@@ -410,7 +434,7 @@ mod tests {
         // 32·64·40 FMAs on 32 rows: the packed path.
         let a = Tensor::constant(Matrix::from_fn(32, 64, |r, c| ((r * 5 + c) % 11) as f32 - 4.5));
         let w = Tensor::param(fill(0));
-        let cached = |w: &Tensor| w.0.panels.borrow().as_ref().map(|p| p.as_ptr());
+        let cached = |w: &Tensor| w.0.panels.read().unwrap().as_ref().map(|p| p.as_ptr());
         let check = |what: &str| {
             let want = a.value().matmul_serial(&w.value());
             assert_eq!(bits(&crate::ops::matmul(&a, &w).value()), bits(&want), "{what}");
@@ -442,6 +466,41 @@ mod tests {
         assert!(cached(&w).is_none());
         check("after apply_params");
         assert_eq!(w.value_clone(), fill(4));
+    }
+
+    #[test]
+    fn ids_are_distinct_across_threads() {
+        let make = || (0..1000).map(|_| Tensor::constant(Matrix::zeros(1, 1)).id()).collect();
+        let (a, b): (Vec<u64>, Vec<u64>) =
+            std::thread::scope(|s| (s.spawn(make).join().unwrap(), s.spawn(make).join().unwrap()));
+        let all: HashSet<u64> = a.iter().chain(&b).copied().collect();
+        assert_eq!(all.len(), a.len() + b.len(), "an id was handed out twice");
+    }
+
+    /// A graph whose nodes were built on two threads: one thread's
+    /// `x ⊙ w` and another's `v ⊙ w`, summed on a third. Node ids decide
+    /// the topological sweep, so a clash would drop a node's gradient.
+    #[test]
+    fn backward_over_nodes_built_on_two_threads_is_exact() {
+        use crate::ops::{add, mul, sum_all};
+        let w = Tensor::param(Matrix::from_vec(1, 3, vec![0.5, -2.0, 4.0]));
+        let half = |v: Vec<f32>| {
+            let w = w.clone();
+            move || {
+                let x = Tensor::param(Matrix::from_vec(1, 3, v));
+                let y = mul(&x, &w);
+                (x, y)
+            }
+        };
+        let ((x, xw), (v, vw)) = std::thread::scope(|s| {
+            let a = s.spawn(half(vec![1.0, 2.0, 3.0]));
+            let b = s.spawn(half(vec![-1.0, 0.25, 8.0]));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        sum_all(&add(&xw, &vw)).backward();
+        assert_eq!(x.grad().unwrap(), w.value_clone());
+        assert_eq!(v.grad().unwrap(), w.value_clone());
+        assert_eq!(w.grad().unwrap().data(), &[0.0, 2.25, 11.0]);
     }
 
     #[test]

@@ -185,12 +185,12 @@ pub struct ServeStats {
 
 /// The batched, sharded SQL-embedding inference service.
 ///
-/// Construction takes a *model factory* rather than a model: `SqlBert`
-/// is intentionally `!Send` (its autograd graph is `Rc`-based), so each
-/// shard thread builds — or rebuilds from transferred parameter
-/// matrices, which are plain `Send` data — its own replica. Model
-/// construction is deterministic given the same corpus/schema/config, so
-/// every replica encodes bit-identically to the original.
+/// Construction takes a *model factory* rather than a model: each shard
+/// thread builds — or rebuilds from transferred parameter matrices — its
+/// own replica. Model construction is deterministic given the same
+/// corpus/schema/config, so every replica encodes bit-identically to the
+/// original. `SqlBert` is `Send + Sync`, so shards could share one model
+/// instead; until they do, each shard's replica costs its own weights.
 pub struct Service {
     shared: Arc<Shared>,
     workers: Vec<std::thread::JoinHandle<ShardStats>>,

@@ -35,9 +35,8 @@ fn schema() -> Schema {
     s
 }
 
-/// Builds the worker's model replica. Runs on the worker thread
-/// (`SqlBert` is `!Send`); construction is deterministic, so every
-/// replica encodes identically.
+/// Builds the worker's model replica. Runs on the worker thread;
+/// construction is deterministic, so every replica encodes identically.
 fn test_model() -> SqlBert {
     let corpus: Vec<_> = [
         "SELECT COUNT(*) FROM title t WHERE t.production_year > 1990",

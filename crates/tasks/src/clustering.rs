@@ -72,9 +72,9 @@ impl SimilarityMethod<'_> {
             SimilarityMethod::Seq2Seq(embedder) => {
                 Some(center(queries.iter().map(|q| embedder.embed(q)).collect()))
             }
-            SimilarityMethod::Preqr(model) => {
-                Some(center(queries.iter().map(|q| model.cls_vector(q)).collect()))
-            }
+            SimilarityMethod::Preqr(model) => Some(center(
+                model.encode_batch(queries).iter().map(|e| e.row(0).to_vec()).collect(),
+            )),
             _ => None,
         };
         let universe = column_universe(queries);
