@@ -138,17 +138,3 @@ fn threads_sharing_one_model_encode_like_serial_encode() {
         assert!(p.grad().is_none(), "{name} holds a gradient after encoding");
     }
 }
-
-#[test]
-fn batch_outputs_keep_input_order() {
-    let m = model();
-    let mut qs = queries();
-    qs.reverse();
-    qs.extend(queries());
-    let batched = m.encode_batch(&qs);
-    assert_eq!(batched.len(), qs.len());
-    for (q, out) in qs.iter().zip(&batched) {
-        assert_eq!(bits(out), bits(&m.encode(q)));
-    }
-    assert!(m.encode_batch(&[]).is_empty());
-}
