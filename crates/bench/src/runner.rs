@@ -83,7 +83,7 @@ pub(crate) fn run_estimation(
 
 impl Ctx {
     /// The Table 8 (cardinality) or Table 9 (cost) battery on the numeric
-    /// workloads, as written by [`run_estimation`]. Runs once per target
+    /// workloads, as written by `run_estimation`. Runs once per target
     /// per context; Table 7's estimation block prints the same rows.
     pub fn estimation(&self, target: Target) -> &str {
         let cell = match target {

@@ -2,6 +2,7 @@
 //! embeddings and query-aware schema states, pre-trained with masked
 //! language modelling (§3.5.2).
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -20,7 +21,7 @@ use preqr_train::{
 use crate::config::PreqrConfig;
 use crate::embedding::{InputEmbedding, PreparedQuery, ValueBuckets};
 use crate::schema2graph::Schema2Graph;
-use crate::trm_g::{SchemaKv, TrmG, TrmGOutput};
+use crate::trm_g::{SchemaKv, TrmG};
 
 /// The full PreQR model.
 pub struct SqlBert {
@@ -54,24 +55,6 @@ struct SchemaSide {
     key: u64,
     nodes: Tensor,
     kv: Vec<Option<SchemaKv>>,
-}
-
-/// Where a layer stack takes the schema side from.
-#[derive(Clone, Copy)]
-enum SchemaIn<'a> {
-    /// Node states each layer projects itself, with the tape recording
-    /// when it is on (`None` without the schema module).
-    Nodes(Option<&'a Tensor>),
-    /// The cached per-layer projections (no_grad only).
-    Cached(&'a SchemaSide),
-}
-
-/// Eq. 8: `y = Concat(e_q, e_g)` at the last layer.
-fn final_rep(out: TrmGOutput) -> Tensor {
-    match out.e_g {
-        Some(e_g) => ops::concat_cols(&out.e_q, &e_g),
-        None => out.e_q,
-    }
 }
 
 /// The host's cores, read once: `available_parallelism` reads cgroup
@@ -224,7 +207,9 @@ impl SqlBert {
     }
 
     /// Full forward pass to the final `n × output_dim` representation
-    /// (Eq. 8: `y = Concat(e_q, e_g)` at the last layer).
+    /// (Eq. 8: `y = Concat(e_q, e_g)` at the last layer). `nodes` defaults
+    /// to fresh [`SqlBert::node_states`]; each layer projects them once,
+    /// on the tape when it records.
     pub fn forward(
         &self,
         pq: &PreparedQuery,
@@ -243,25 +228,33 @@ impl SqlBert {
             }
             (None, None) => None,
         };
-        self.stack(x, SchemaIn::Nodes(nodes_ref))
+        let all = 0..self.layers.len();
+        self.stack(all.clone(), x, &self.schema_kv(all, nodes_ref))
     }
 
-    /// Runs layer `i` against the given schema side.
-    fn layer_forward(&self, i: usize, x: &Tensor, schema: SchemaIn<'_>) -> TrmGOutput {
-        match schema {
-            SchemaIn::Nodes(nodes) => self.layers[i].forward(x, nodes),
-            SchemaIn::Cached(side) => self.layers[i].forward_projected(x, side.kv[i].as_ref()),
+    /// The schema K/V of `layers` for one pass over `nodes`, one entry per
+    /// layer (`None`s without the schema module): the cached projections
+    /// when `nodes` may use them ([`SqlBert::cached_for`]), else each
+    /// layer's projection of `nodes`, on the tape when it records.
+    fn schema_kv(&self, layers: Range<usize>, nodes: Option<&Tensor>) -> Vec<Option<SchemaKv>> {
+        match self.cached_for(nodes) {
+            Some(side) => side.kv[layers].to_vec(),
+            None => {
+                self.layers[layers].iter().map(|l| nodes.and_then(|n| l.project_nodes(n))).collect()
+            }
         }
     }
 
-    /// Runs every layer over the input embedding `x` and returns the
-    /// final representation.
-    fn stack(&self, mut x: Tensor, schema: SchemaIn<'_>) -> Tensor {
+    /// Runs `layers` in order over `x`, each against its entry of `kv`.
+    /// Returns the next layer's input, or Eq. 8's final representation
+    /// when `layers` ends at the last layer.
+    fn stack(&self, layers: Range<usize>, mut x: Tensor, kv: &[Option<SchemaKv>]) -> Tensor {
         let last = self.layers.len() - 1;
-        for i in 0..last {
-            x = self.layer_forward(i, &x, schema).merged;
+        for (i, kv) in layers.zip(kv) {
+            let out = self.layers[i].forward(&x, kv.as_ref());
+            x = if i == last { out.final_rep() } else { out.merged };
         }
-        final_rep(self.layer_forward(last, &x, schema))
+        x
     }
 
     fn schema_key(&self) -> u64 {
@@ -446,12 +439,12 @@ impl SqlBert {
     /// (`crates/serve`), and [`SqlBert::encode`] itself is the
     /// batch-of-one special case.
     pub fn encode_batch(&self, qs: &[Query]) -> Vec<Matrix> {
-        let side = self.schema_side();
-        let schema = side.as_deref().map_or(SchemaIn::Nodes(None), SchemaIn::Cached);
+        let all = 0..self.layers.len();
+        let kv = self.schema_side().map_or_else(|| vec![None; all.len()], |side| side.kv.clone());
         let encode_one = |q: &Query| {
             let pq = self.prepare(q);
             let mut rng = StdRng::seed_from_u64(0);
-            self.stack(self.input.forward(&pq, false, &mut rng), schema).value_clone()
+            self.stack(all.clone(), self.input.forward(&pq, false, &mut rng), &kv).value_clone()
         };
         let workers = cores().min(qs.len());
         if workers <= 1 {
@@ -547,36 +540,48 @@ impl SqlBert {
     }
 
     /// Eval-mode output of all layers *below* the last one (the frozen
-    /// prefix of fine-tuning). Deterministic, so it can be cached per
-    /// query across fine-tuning epochs. Handed [`SqlBert::cached_nodes`],
-    /// it reuses the cached schema K/V.
+    /// prefix of fine-tuning), tape-free. Deterministic, so it can be
+    /// cached per query across fine-tuning epochs. Handed
+    /// [`SqlBert::cached_nodes`], it reuses the cached schema K/V;
+    /// otherwise each layer projects `nodes` once.
     pub fn lower_states(&self, pq: &PreparedQuery, nodes: Option<&Tensor>) -> Matrix {
         preqr_nn::no_grad(|| {
-            let cached = self.cached_for(nodes);
-            let schema = cached.as_deref().map_or(SchemaIn::Nodes(nodes), SchemaIn::Cached);
+            let lower = 0..self.layers.len() - 1;
             let mut rng = StdRng::seed_from_u64(0);
-            let mut x = self.input.forward(pq, false, &mut rng);
-            for i in 0..self.layers.len() - 1 {
-                x = self.layer_forward(i, &x, schema).merged;
-            }
-            x.value_clone()
+            let x = self.input.forward(pq, false, &mut rng);
+            self.stack(lower.clone(), x, &self.schema_kv(lower, nodes)).value_clone()
         })
     }
 
-    /// Runs only the last `Trm_g` layer on cached lower states, with
-    /// gradients flowing into the last layer's parameters. Returns the
-    /// final `n × output_dim` representation. Under no_grad and handed
-    /// [`SqlBert::cached_nodes`], it reuses the cached schema K/V.
+    /// Runs only the last `Trm_g` layer on cached lower states and returns
+    /// the final `n × output_dim` representation. On the tape it projects
+    /// `nodes` itself, so gradients reach every last-layer parameter;
+    /// under no_grad and handed [`SqlBert::cached_nodes`], it reuses the
+    /// cached schema K/V.
     pub fn last_layer_encode(&self, lower: &Matrix, nodes: Option<&Tensor>) -> Tensor {
-        let cached = self.cached_for(nodes);
-        let schema = cached.as_deref().map_or(SchemaIn::Nodes(nodes), SchemaIn::Cached);
-        let x = Tensor::constant(lower.clone());
-        final_rep(self.layer_forward(self.layers.len() - 1, &x, schema))
+        let last = self.layers.len() - 1..self.layers.len();
+        let kv = self.schema_kv(last.clone(), nodes);
+        self.stack(last, Tensor::constant(lower.clone()), &kv)
     }
 
-    /// Parameters of the last `Trm_g` layer (the fine-tuned subset).
+    /// Parameters of the last `Trm_g` layer (the subset §3.6 Case 1
+    /// retrains in place).
     pub fn last_layer_params(&self) -> Vec<Tensor> {
         self.layers.last().expect("at least one layer").params()
+    }
+
+    /// A new `Trm_g` layer holding the last layer's current weights, for a
+    /// downstream head to fine-tune (§4.3.2) while the model stays as
+    /// pre-trained. Its forward over [`SqlBert::lower_states`] is
+    /// bit-identical to [`SqlBert::last_layer_encode`] until trained.
+    pub fn last_layer_copy(&self) -> TrmG {
+        let c = &self.config;
+        // The initial weights are overwritten; the seed is arbitrary.
+        let copy = TrmG::new(c.d_model, c.heads, c.use_schema, &mut StdRng::seed_from_u64(0));
+        for (dst, src) in copy.params().iter().zip(self.last_layer_params()) {
+            dst.set_value(src.value_clone());
+        }
+        copy
     }
 
     /// Parameters of the Input Embedding module (§3.6 Case 3 subset).
@@ -605,11 +610,13 @@ impl SqlBert {
     /// Loads parameters from a checkpoint created by [`SqlBert::save`]
     /// into this model. The model must have been built with the same
     /// corpus/schema/config (vocabulary and automaton construction are
-    /// deterministic, so rebuilding reproduces the architecture).
+    /// deterministic, so rebuilding reproduces the architecture). Like
+    /// pre-training and the §3.6 updates, it takes the model mutably:
+    /// nothing that holds a shared `&SqlBert` writes a weight.
     ///
     /// # Errors
     /// I/O failures, or an architecture mismatch.
-    pub fn load(&self, path: impl AsRef<std::path::Path>) -> Result<(), String> {
+    pub fn load(&mut self, path: impl AsRef<std::path::Path>) -> Result<(), String> {
         let loaded = preqr_nn::serialize::load_from_file(path).map_err(|e| e.to_string())?;
         preqr_nn::serialize::apply_params(&self.named_params("preqr"), &loaded)?;
         Ok(())

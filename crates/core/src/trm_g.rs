@@ -20,8 +20,20 @@ pub struct TrmGOutput {
     pub e_g: Option<Tensor>,
 }
 
-/// The schema branch's key and value projections of the schema nodes.
-pub(crate) type SchemaKv = (Tensor, Tensor);
+impl TrmGOutput {
+    /// Eq. 8 at the last layer: the final `n × output_dim` representation
+    /// `y = Concat(e_q, e_g)` (`e_q` alone without the schema branch).
+    pub fn final_rep(self) -> Tensor {
+        match self.e_g {
+            Some(e_g) => ops::concat_cols(&self.e_q, &e_g),
+            None => self.e_q,
+        }
+    }
+}
+
+/// The schema branch's key and value projections of the schema nodes
+/// (from [`TrmG::project_nodes`]).
+pub type SchemaKv = (Tensor, Tensor);
 
 /// The query-aware sub-graph transformer (red rectangle of Figure 6).
 struct SubGraphBranch {
@@ -32,7 +44,10 @@ struct SubGraphBranch {
     merge: Linear,
 }
 
-/// One `Trm_g` layer.
+/// One `Trm_g` layer. The schema nodes enter it only through their
+/// key/value projections ([`TrmG::project_nodes`]): they depend on the
+/// nodes and the layer's weights alone, so a caller projects them once
+/// and runs any number of queries over them with [`TrmG::forward`].
 pub struct TrmG {
     trm: TransformerLayer,
     branch: Option<SubGraphBranch>,
@@ -52,27 +67,12 @@ impl TrmG {
         Self { trm: TransformerLayer::new(d, heads, rng), branch }
     }
 
-    /// Forward pass. `nodes` is the `|V| × d` schema vertex matrix from
-    /// Schema2Graph; required iff the layer was built with the schema
-    /// branch.
-    pub fn forward(&self, x: &Tensor, nodes: Option<&Tensor>) -> TrmGOutput {
-        let e_q = self.trm.forward(x);
-        let kv = nodes.and_then(|nodes| self.project_nodes(nodes));
-        self.finish(e_q, kv.as_ref())
-    }
-
-    /// The schema branch's key/value projections of `nodes` (`None` for a
-    /// layer without the branch). They depend only on the nodes and the
-    /// [`TrmG::schema_kv_params`], so they can be computed once and reused
-    /// by [`TrmG::forward_projected`] for every query.
-    pub(crate) fn project_nodes(&self, nodes: &Tensor) -> Option<SchemaKv> {
+    /// The schema branch's key/value projections of the `|V| × d` schema
+    /// vertex matrix from Schema2Graph (`None` for a layer without the
+    /// branch). On the tape, gradients flow back through them into the
+    /// branch's `wk`/`wv` and into `nodes`.
+    pub fn project_nodes(&self, nodes: &Tensor) -> Option<SchemaKv> {
         self.branch.as_ref().map(|b| b.attn.project_kv(nodes))
-    }
-
-    /// [`TrmG::forward`] with the schema nodes already projected by
-    /// [`TrmG::project_nodes`]; the arithmetic is the same.
-    pub(crate) fn forward_projected(&self, x: &Tensor, kv: Option<&SchemaKv>) -> TrmGOutput {
-        self.finish(self.trm.forward(x), kv)
     }
 
     /// Parameters the schema key/value projections depend on.
@@ -80,7 +80,11 @@ impl TrmG {
         self.branch.as_ref().map(|b| b.attn.kv_params()).unwrap_or_default()
     }
 
-    fn finish(&self, e_q: Tensor, kv: Option<&SchemaKv>) -> TrmGOutput {
+    /// Forward pass over the `n × d` input `x`. `kv` is this layer's
+    /// [`TrmG::project_nodes`] of the schema nodes; required iff the layer
+    /// was built with the schema branch.
+    pub fn forward(&self, x: &Tensor, kv: Option<&SchemaKv>) -> TrmGOutput {
+        let e_q = self.trm.forward(x);
         match (&self.branch, kv) {
             (Some(b), Some((kp, vp))) => {
                 // Eq. 5: scaled dot-product attention of the query tokens
@@ -135,7 +139,7 @@ mod tests {
         let without = TrmG::new(8, 2, false, &mut rng);
         let x = Tensor::constant(Matrix::from_fn(5, 8, |r, c| (r + c) as f32 * 0.1));
         let nodes = Tensor::constant(Matrix::from_fn(7, 8, |r, c| (r * c) as f32 * 0.05));
-        let out = with.forward(&x, Some(&nodes));
+        let out = with.forward(&x, with.project_nodes(&nodes).as_ref());
         assert_eq!(out.merged.shape(), (5, 8));
         assert_eq!(out.e_q.shape(), (5, 8));
         assert_eq!(out.e_g.as_ref().unwrap().shape(), (5, 8));
@@ -160,8 +164,8 @@ mod tests {
         let x = Tensor::constant(Matrix::from_fn(3, 8, |r, c| (r + c) as f32 * 0.1));
         let nodes_a = Tensor::constant(Matrix::from_fn(4, 8, |r, c| (r * c) as f32 * 0.1));
         let nodes_b = Tensor::constant(Matrix::from_fn(4, 8, |r, c| (r + 2 * c) as f32 * 0.1));
-        let a = layer.forward(&x, Some(&nodes_a)).merged.value_clone();
-        let b = layer.forward(&x, Some(&nodes_b)).merged.value_clone();
+        let a = layer.forward(&x, layer.project_nodes(&nodes_a).as_ref()).merged.value_clone();
+        let b = layer.forward(&x, layer.project_nodes(&nodes_b).as_ref()).merged.value_clone();
         assert_ne!(a, b, "schema content must influence the output");
     }
 
@@ -184,7 +188,7 @@ mod tests {
         let layer = TrmG::new(8, 2, true, &mut rng);
         let x = Tensor::constant(Matrix::from_fn(3, 8, |r, c| (r + c) as f32 * 0.1));
         let nodes = Tensor::param(Matrix::from_fn(4, 8, |r, c| (r * c) as f32 * 0.1));
-        let out = layer.forward(&x, Some(&nodes));
+        let out = layer.forward(&x, layer.project_nodes(&nodes).as_ref());
         ops::sum_all(&out.merged).backward();
         assert!(nodes.grad().is_some(), "schema nodes must receive gradient");
         for (name, p) in layer.named_params("l") {

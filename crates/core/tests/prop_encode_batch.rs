@@ -5,7 +5,7 @@
 //! `max_batch` settings, so the property is pinned here at the model
 //! layer where it is enforced.
 
-use std::cell::OnceCell;
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
@@ -65,22 +65,16 @@ fn pool() -> Vec<Query> {
     qs
 }
 
-thread_local! {
-    /// One model per test thread (`SqlBert` is `!Send`): building it per
-    /// proptest case would dominate runtime. Model construction is
-    /// deterministic, so every thread's replica is identical.
-    static MODEL: OnceCell<SqlBert> = const { OnceCell::new() };
-}
-
-fn with_model<R>(f: impl FnOnce(&SqlBert) -> R) -> R {
-    MODEL.with(|cell| {
-        f(cell.get_or_init(|| {
-            let mut buckets = ValueBuckets::new(4);
-            buckets.insert("title", "production_year", (1930..2020).map(f64::from).collect());
-            buckets.insert("title", "kind_id", (1..8).map(f64::from).collect());
-            buckets.insert("movie_companies", "company_id", (1..100).map(f64::from).collect());
-            SqlBert::new(&pool(), &schema(), buckets, PreqrConfig::test())
-        }))
+/// One model for the whole test binary, shared by every test thread:
+/// building it per proptest case would dominate runtime.
+fn model() -> &'static SqlBert {
+    static MODEL: OnceLock<SqlBert> = OnceLock::new();
+    MODEL.get_or_init(|| {
+        let mut buckets = ValueBuckets::new(4);
+        buckets.insert("title", "production_year", (1930..2020).map(f64::from).collect());
+        buckets.insert("title", "kind_id", (1..8).map(f64::from).collect());
+        buckets.insert("movie_companies", "company_id", (1..100).map(f64::from).collect());
+        SqlBert::new(&pool(), &schema(), buckets, PreqrConfig::test())
     })
 }
 
@@ -99,17 +93,11 @@ proptest! {
     ) {
         let qs = pool();
         let batch: Vec<Query> = picks.iter().map(|&i| qs[i].clone()).collect();
-        let checks = with_model(|m| {
-            let batched = m.encode_batch(&batch);
-            assert_eq!(batched.len(), batch.len());
-            batch
-                .iter()
-                .zip(&batched)
-                .map(|(q, b)| (bits(&m.encode(q)), bits(b)))
-                .collect::<Vec<_>>()
-        });
-        for (solo, batched) in checks {
-            prop_assert_eq!(solo, batched);
+        let m = model();
+        let batched = m.encode_batch(&batch);
+        assert_eq!(batched.len(), batch.len());
+        for (q, b) in batch.iter().zip(&batched) {
+            prop_assert_eq!(bits(&m.encode(q)), bits(b));
         }
     }
 
@@ -117,15 +105,13 @@ proptest! {
     #[test]
     fn batch_split_points_do_not_change_embeddings(split in 0usize..10) {
         let qs = pool();
-        let checks = with_model(|m| {
-            let whole = m.encode_batch(&qs);
-            let (a, b) = qs.split_at(split.min(qs.len()));
-            let mut parts = m.encode_batch(a);
-            parts.extend(m.encode_batch(b));
-            whole.iter().zip(&parts).map(|(w, p)| (bits(w), bits(p))).collect::<Vec<_>>()
-        });
-        for (w, p) in checks {
-            prop_assert_eq!(w, p);
+        let m = model();
+        let whole = m.encode_batch(&qs);
+        let (a, b) = qs.split_at(split.min(qs.len()));
+        let mut parts = m.encode_batch(a);
+        parts.extend(m.encode_batch(b));
+        for (w, p) in whole.iter().zip(&parts) {
+            prop_assert_eq!(bits(w), bits(p));
         }
     }
 }

@@ -111,7 +111,7 @@ fn checkpoint_load_invalidates() {
     let path = dir.join("trained.ckpt");
     trained.save(&path).unwrap();
 
-    let m = model();
+    let mut m = model();
     let q = &corpus()[5];
     let before = m.encode(q);
     m.load(&path).unwrap();
@@ -193,7 +193,7 @@ fn pretrain_after_an_encode_leaves_no_stale_weight_panels() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("trained.ckpt");
     m.save(&path).unwrap();
-    let fresh = model();
+    let mut fresh = model();
     fresh.load(&path).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
     assert_eq!(bits(&after), bits(&fresh.encode(q)), "encode after pretrain == fresh load");

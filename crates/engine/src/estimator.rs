@@ -189,7 +189,7 @@ impl<'a> PgEstimator<'a> {
                 self.cmp_selectivity(bindings, table, &c.column, *op, v)
             }
             Expr::Cmp { left: Scalar::Value(v), op, right: Scalar::Column(c) } => {
-                self.cmp_selectivity(bindings, table, &c.column, flip(*op), v)
+                self.cmp_selectivity(bindings, table, &c.column, op.flip(), v)
             }
             Expr::Cmp { .. } => DEFAULT_SEL,
             Expr::Between { col, low, high } => {
@@ -283,17 +283,6 @@ impl<'a> PgEstimator<'a> {
             }
         }
         .clamp(0.0, 1.0)
-    }
-}
-
-fn flip(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Eq => CmpOp::Eq,
-        CmpOp::Ne => CmpOp::Ne,
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::Le => CmpOp::Ge,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::Ge => CmpOp::Le,
     }
 }
 

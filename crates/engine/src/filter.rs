@@ -217,7 +217,7 @@ pub fn compile(
             }
             (Scalar::Value(v), Scalar::Column(c)) => {
                 let bc = resolve(c)?;
-                compile_cmp(bc, flip(*op), v, column_data(bc))
+                compile_cmp(bc, op.flip(), v, column_data(bc))
             }
             (Scalar::Column(a), Scalar::Column(b)) => {
                 let (ba, bb) = (resolve(a)?, resolve(b)?);
@@ -310,17 +310,6 @@ fn compile_cmp(
             })?;
             Ok(Compiled::NumCmp { col: bc.column, op, rhs })
         }
-    }
-}
-
-fn flip(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Eq => CmpOp::Eq,
-        CmpOp::Ne => CmpOp::Ne,
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::Le => CmpOp::Ge,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::Ge => CmpOp::Le,
     }
 }
 

@@ -45,8 +45,10 @@ impl MultiHeadAttention {
 
     /// The key and value projections of a `n_kv × dim` key/value sequence.
     /// They depend on `kv` and the `wk`/`wv` weights only, so a fixed
-    /// sequence (the schema nodes) can be projected once and attended by
-    /// many queries through [`MultiHeadAttention::forward_projected`].
+    /// sequence (the schema nodes) can be projected once per pass and
+    /// attended by many queries through
+    /// [`MultiHeadAttention::forward_projected`]. On the tape, gradients
+    /// reach `wk`, `wv` and `kv` through every use of the projections.
     pub fn project_kv(&self, kv: &Tensor) -> (Tensor, Tensor) {
         (self.wk.forward(kv), self.wv.forward(kv))
     }

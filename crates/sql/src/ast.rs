@@ -93,6 +93,18 @@ impl CmpOp {
         }
     }
 
+    /// The operator with its operands swapped: `a op b` ⇔ `b op.flip() a`.
+    pub fn flip(self) -> CmpOp {
+        match self {
+            CmpOp::Eq => CmpOp::Eq,
+            CmpOp::Ne => CmpOp::Ne,
+            CmpOp::Lt => CmpOp::Gt,
+            CmpOp::Le => CmpOp::Ge,
+            CmpOp::Gt => CmpOp::Lt,
+            CmpOp::Ge => CmpOp::Le,
+        }
+    }
+
     /// All six operators (used by workload generators).
     pub fn all() -> [CmpOp; 6] {
         [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge]
@@ -519,6 +531,17 @@ mod tests {
             "SELECT COUNT(*) FROM title t, movie_companies mc \
              WHERE t.id = mc.movie_id AND t.production_year > 2010"
         );
+    }
+
+    #[test]
+    fn flip_swaps_the_operand_order() {
+        use CmpOp::*;
+        for (op, flipped) in [(Eq, Eq), (Ne, Ne), (Lt, Gt), (Le, Ge), (Gt, Lt), (Ge, Le)] {
+            assert_eq!(op.flip(), flipped);
+        }
+        for op in CmpOp::all() {
+            assert_eq!(op.flip().flip(), op);
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use preqr::SqlBert;
+use preqr::{SqlBert, TrmG};
 use preqr_baselines::lstm_est::{LstmEstimator, LstmVocab};
 use preqr_baselines::mscn::{MscnFeatures, MscnFeaturizer, MscnModel};
 use preqr_baselines::neurocard::SamplingEstimator;
@@ -126,16 +126,6 @@ fn estimator_config(epochs: usize, chunk: usize, lr: f32, has_valid: bool) -> Tr
         config.patience = Some(3);
     }
     config
-}
-
-fn snapshot(params: &[Tensor]) -> Vec<Matrix> {
-    params.iter().map(Tensor::value_clone).collect()
-}
-
-fn restore(params: &[Tensor], snap: &[Matrix]) {
-    for (p, m) in params.iter().zip(snap) {
-        p.set_value(m.clone());
-    }
 }
 
 /// Walks the PG optimizer's plan for each `SELECT` of `q`, handing
@@ -283,8 +273,6 @@ trait Model {
     fn featurize(&self, q: &Query) -> Self::Features;
     /// `1 × 1` normalized prediction.
     fn forward(&self, f: &Self::Features) -> Tensor;
-    /// Runs once after training, with the best weights restored.
-    fn trained(&mut self) {}
 }
 
 /// A fitted learned estimator: MSCN, LSTM, PreQR, or the PreQR
@@ -344,7 +332,7 @@ fn fit<'a, M: Model + 'a>(
 ) -> Predictor<'a> {
     let _span = obs::span("est.train").field("method", method).field("epochs", epochs);
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut model = build(&mut rng);
+    let model = build(&mut rng);
     let log_targets: Vec<f64> = train
         .iter()
         .map(|lq| match base_estimate(base.as_ref(), &lq.query) {
@@ -386,7 +374,6 @@ fn fit<'a, M: Model + 'a>(
         });
         Trainer::new(config).fit(&mut task, &mut rng)
     };
-    model.trained();
     let predict = move |q: &Query| {
         estimate(&model, &norm, &model.featurize(q), base_estimate(base.as_ref(), q))
     };
@@ -519,20 +506,15 @@ pub fn train_lstm<'a>(
 struct Preqr<'a> {
     db: &'a Database,
     sampler: Option<&'a BitmapSampler>,
+    /// The shared pre-trained model, read only: several heads (e.g. the
+    /// cardinality head and the NeuroCard correction) fine-tune from it.
     model: &'a SqlBert,
     nodes: Option<Tensor>,
+    /// This head's own copy of the model's last layer, the one it trains.
+    last: TrmG,
     head: Mlp,
     stats: TableStats,
     cost_model: CostModel,
-    /// The shared model's pre-trained last layer. Training updates the
-    /// shared layer in place; [`Model::trained`] then keeps the result in
-    /// `tuned` and hands the shared layer back at these weights, so
-    /// successive fine-tunings all start from the same pre-trained state.
-    pretrained: Vec<Matrix>,
-    /// This predictor's own fine-tuned last layer, swapped in around
-    /// every forward after training: the model is shared between
-    /// predictors (e.g. the cardinality head and the NeuroCard correction).
-    tuned: Option<Vec<Matrix>>,
 }
 
 impl<'a> Preqr<'a> {
@@ -549,11 +531,10 @@ impl<'a> Preqr<'a> {
             sampler,
             model,
             nodes: model.cached_nodes(),
+            last: model.last_layer_copy(),
             head,
             stats: TableStats::analyze(db),
             cost_model: CostModel::default(),
-            pretrained: snapshot(&model.last_layer_params()),
-            tuned: None,
         }
     }
 }
@@ -566,7 +547,7 @@ impl Model for Preqr<'_> {
     type Features = (Matrix, Vec<f32>);
 
     fn params(&self) -> Vec<Tensor> {
-        let mut params = self.model.last_layer_params();
+        let mut params = self.last.params();
         params.extend(self.head.params());
         params
     }
@@ -584,29 +565,14 @@ impl Model for Preqr<'_> {
     /// fine-tuning workload (the Scale/JOB-light generalization the paper
     /// tests).
     fn forward(&self, (lower, side): &(Matrix, Vec<f32>)) -> Tensor {
-        let encode = || self.model.last_layer_encode(lower, self.nodes.as_ref());
-        let reps = match &self.tuned {
-            None => encode(),
-            Some(tuned) => {
-                let live = self.model.last_layer_params();
-                let current = snapshot(&live);
-                restore(&live, tuned);
-                let reps = encode();
-                restore(&live, &current);
-                reps
-            }
-        };
+        let x = Tensor::constant(lower.clone());
+        let kv = self.nodes.as_ref().and_then(|n| self.last.project_nodes(n));
+        let reps = self.last.forward(&x, kv.as_ref()).final_rep();
         let cls = ops::gather_rows(&reps, &[0]);
         let n = reps.shape().0 as f32;
         let pooled = ops::scale(&ops::mean_rows(&reps), n / 8.0);
         let side = Tensor::constant(Matrix::from_vec(1, side.len(), side.clone()));
         self.head.forward(&ops::concat_cols(&ops::concat_cols(&cls, &pooled), &side))
-    }
-
-    fn trained(&mut self) {
-        let live = self.model.last_layer_params();
-        self.tuned = Some(snapshot(&live));
-        restore(&live, &self.pretrained);
     }
 }
 

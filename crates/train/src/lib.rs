@@ -16,7 +16,7 @@
 //! at epoch start, then per-example draws in visit order) and performs
 //! floating-point accumulation in the same order, so every migrated
 //! loop's loss/accuracy trajectory is bit-identical to its pre-harness
-//! implementation at a fixed seed. The in-tree [`reference`] module keeps
+//! implementation at a fixed seed. The in-tree [`reference`](mod@reference) module keeps
 //! an independently written copy of the legacy loop shape; the golden
 //! tests pin `Trainer` against it bit-for-bit.
 //!

@@ -41,7 +41,7 @@ fn save_load_file_helpers_round_trip() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("model.bin");
     a.save(&path).unwrap();
-    let b = SqlBert::new(&corpus, db.schema(), buckets, PreqrConfig::test());
+    let mut b = SqlBert::new(&corpus, db.schema(), buckets, PreqrConfig::test());
     b.load(&path).unwrap();
     assert_eq!(a.encode(&corpus[0]), b.encode(&corpus[0]));
     // Clean up on success only — a failure leaves the artifact for triage.

@@ -5,7 +5,11 @@ use preqr::{PreqrConfig, SqlBert};
 use preqr_data::imdb::{generate, ImdbConfig};
 use preqr_data::workloads;
 use preqr_engine::{execute, BitmapSampler, CostModel, TableStats};
-use preqr_tasks::estimation::{evaluate, train_preqr, Estimator, PgBaseline, Target};
+use preqr_nn::layers::Module;
+use preqr_nn::Tensor;
+use preqr_tasks::estimation::{
+    evaluate, train_corrected, train_preqr, Estimator, PgBaseline, Target,
+};
 use preqr_tasks::setup::{build_pretrained, value_buckets_from_db};
 
 #[test]
@@ -64,24 +68,27 @@ fn pretrain_encode_finetune_evaluate() {
 
 #[test]
 fn shared_model_predictors_do_not_interfere() {
-    // Two heads fine-tuned from one shared model must keep their own
-    // last-layer weights (regression test for the weight-clobbering bug).
+    // Heads fine-tuned from one shared model each train their own copy of
+    // its last layer: the shared model is never written, and one head's
+    // training cannot change another head's predictions.
     let db = generate(ImdbConfig::tiny());
     let corpus = workloads::pretrain_corpus(&db, 40, 7);
     let (model, _) = build_pretrained(&db, &corpus, PreqrConfig::test(), 1, 2e-3);
+    let versions = || model.params().iter().map(Tensor::version).collect::<Vec<_>>();
+    let pretrained = versions();
     let cm = CostModel::default();
     let labeled = workloads::label(&db, &workloads::synthetic(&db, 80, 21), &cm);
     let (train, valid) = labeled.split_at(64);
     let a = train_preqr(&db, &model, None, train, valid, Target::Cardinality, 2, 7, "A");
+    assert_eq!(versions(), pretrained, "train_preqr wrote a shared-model weight");
     let q = &labeled[0].query;
     let before = a.predict(q);
-    // Train a second head (mutates and restores the shared last layer).
+    // Train two more heads on the same model.
     let _b = train_preqr(&db, &model, None, train, valid, Target::Cost, 2, 9, "B");
+    let _c = train_corrected(&db, &model, None, train, valid, 200, 2, 11);
+    assert_eq!(versions(), pretrained, "train_corrected wrote a shared-model weight");
     let after = a.predict(q);
-    assert!(
-        (before - after).abs() < 1e-6 * before.abs().max(1.0),
-        "predictor A changed after training B: {before} vs {after}"
-    );
+    assert_eq!(before.to_bits(), after.to_bits(), "predictor A changed: {before} vs {after}");
 }
 
 #[test]
