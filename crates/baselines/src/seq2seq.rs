@@ -193,7 +193,7 @@ impl TextEncoder for LstmTextEncoder {
         let emb = self.emb.forward(&ids);
         let outputs = self.lstm.outputs(&emb);
         let memory = self.proj.forward(&outputs);
-        let init = self.init_proj.forward(&self.lstm.encode(&emb));
+        let init = self.init_proj.forward(&self.lstm.encode(&emb, 1));
         EncodedSource { memory, init, copy_ids: copy_ids_for(q, &self.tv) }
     }
 
@@ -235,11 +235,7 @@ impl TreeTextEncoder {
         let kids = if children.is_empty() {
             Tensor::constant(Matrix::zeros(1, d))
         } else {
-            let mut acc = children[0].clone();
-            for c in &children[1..] {
-                acc = ops::concat_rows(&acc, c);
-            }
-            ops::mean_rows(&acc)
+            ops::mean_rows(&ops::stack_rows(&children))
         };
         ops::tanh(&self.compose.forward(&ops::concat_cols(&lab, &kids)))
     }
@@ -298,16 +294,9 @@ impl TextEncoder for TreeTextEncoder {
         let init = if roots.len() == 1 {
             roots[0].clone()
         } else {
-            let mut acc = roots[0].clone();
-            for r in &roots[1..] {
-                acc = ops::concat_rows(&acc, r);
-            }
-            ops::mean_rows(&acc)
+            ops::mean_rows(&ops::stack_rows(&roots))
         };
-        let mut memory = nodes[0].clone();
-        for nd in &nodes[1..] {
-            memory = ops::concat_rows(&memory, nd);
-        }
+        let memory = ops::stack_rows(&nodes);
         // The tree has no 1:1 token alignment; copying is not available
         // (matches Tree2Seq's design).
         let copy_ids = vec![UNK; nodes.len()];

@@ -2,6 +2,8 @@
 //! propagation over the ten-relation schema graph (Eq. 3) + average
 //! pooling to the global schema representation `e_G` (Eq. 4).
 
+use std::collections::BTreeMap;
+
 use rand::rngs::StdRng;
 
 use preqr_nn::layers::{join, BiLstm, Embedding, Linear, Module, RelAdjacency, RgcnLayer};
@@ -84,20 +86,38 @@ impl Schema2Graph {
     /// matrix after R-GCN propagation. The global pooled `e_G` (Eq. 4) is
     /// available via [`ops::mean_rows`] of this output.
     pub fn node_states(&self) -> Tensor {
+        let mut by_len: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for (v, toks) in self.vertex_tokens.iter().enumerate() {
+            by_len.entry(toks.len()).or_default().push(v);
+        }
+        self.node_states_grouped(by_len.into_values())
+    }
+
+    /// [`Schema2Graph::node_states`] with the BiLSTM run once per group of
+    /// vertices whose names are of equal length: every step of a group of
+    /// `k` is one `k × d` operand. Kernel rows do not interact, so the
+    /// states do not depend on the grouping, bit for bit.
+    fn node_states_grouped(&self, groups: impl IntoIterator<Item = Vec<usize>>) -> Tensor {
         // Initial vertex representations: BiLSTM over name tokens,
         // concat(last-fwd, first-rev), projected to d (Eq. 1–2).
         let max_id = self.name_emb.vocab() - 1;
-        let mut inits: Option<Tensor> = None;
-        for toks in &self.vertex_tokens {
-            let ids: Vec<usize> = toks.iter().map(|&t| t.min(max_id)).collect();
-            let seq = self.name_emb.forward(&ids);
-            let summary = self.init_proj.forward(&self.name_lstm.encode(&seq));
-            inits = Some(match inits {
-                Some(acc) => ops::concat_rows(&acc, &summary),
-                None => summary,
-            });
+        let mut summaries = Vec::new();
+        let mut row_of = vec![0; self.vertex_tokens.len()];
+        let mut rows = 0;
+        for group in groups {
+            // The group's names, position-major.
+            let ids: Vec<usize> = (0..self.vertex_tokens[group[0]].len())
+                .flat_map(|t| group.iter().map(move |&v| self.vertex_tokens[v][t].min(max_id)))
+                .collect();
+            summaries.push(self.name_lstm.encode(&self.name_emb.forward(&ids), group.len()));
+            for v in group {
+                row_of[v] = rows;
+                rows += 1;
+            }
         }
-        let mut h = inits.expect("schema graph has vertices");
+        assert!(!summaries.is_empty(), "schema graph has vertices");
+        let inits = self.init_proj.forward(&ops::stack_rows(&summaries));
+        let mut h = ops::gather_rows(&inits, &row_of);
         for layer in &self.gcn {
             h = layer.forward(&h, &self.adjacency);
         }
@@ -197,6 +217,45 @@ mod tests {
         assert_eq!(s2g.graph().len(), before + 2);
         // Forward still runs with the enlarged graph.
         assert_eq!(s2g.node_states().shape().0, before + 2);
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.value().data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The node states with every vertex in a group of its own, so the
+    /// BiLSTM runs on one name at a time.
+    fn one_vertex_per_group(s2g: &Schema2Graph) -> Tensor {
+        s2g.node_states_grouped((0..s2g.graph().len()).map(|v| vec![v]))
+    }
+
+    fn name_lengths(s2g: &Schema2Graph) -> std::collections::BTreeSet<usize> {
+        s2g.vertex_tokens.iter().map(Vec::len).collect()
+    }
+
+    /// Names of one to three tokens, plus a table of sixteen two-token
+    /// columns: wide enough for the packed matmul kernel at the small
+    /// config. The grouped states match one vertex per group bit for
+    /// bit, before and after a schema update adds a fourth length.
+    #[test]
+    fn grouped_node_states_match_one_vertex_per_group_bitwise() {
+        for config in [PreqrConfig::test(), PreqrConfig::small()] {
+            let mut s = schema();
+            let wide = (0..16).map(|i| Column::new(format!("c{i}"), ColumnType::Int)).collect();
+            s.add_table(Table::new("wide", wide));
+            let mut rng = StdRng::seed_from_u64(9);
+            let mut s2g = Schema2Graph::build(&s, &config, &mut rng);
+            assert_eq!(name_lengths(&s2g), [1, 2, 3].into());
+            assert_eq!(bits(&s2g.node_states()), bits(&one_vertex_per_group(&s2g)));
+
+            s.add_table(Table::new(
+                "movie_info_idx",
+                vec![Column::new("info_type_id", ColumnType::Int)],
+            ));
+            s2g.update_schema(&s);
+            assert_eq!(name_lengths(&s2g), [1, 2, 3, 4].into());
+            assert_eq!(bits(&s2g.node_states()), bits(&one_vertex_per_group(&s2g)));
+        }
     }
 
     #[test]

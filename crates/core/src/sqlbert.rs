@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use preqr_nn::layers::{join, Linear, Module};
-use preqr_nn::{ops, Matrix, Tensor};
+use preqr_nn::{ops, GradOrder, Matrix, Tensor};
 use preqr_schema::Schema;
 use preqr_sql::ast::Query;
 use preqr_train::{
@@ -62,6 +62,43 @@ struct SchemaSide {
 fn cores() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Runs `job(i)` for every `i < n` and returns the outputs in index
+/// order. The calling thread and up to `min(cores, n) − 1` scoped threads
+/// take the indices one at a time, in increasing order, until none are
+/// left; with one core or `n ≤ 1` the calling thread runs them all. A
+/// panicking job panics the call once every thread has stopped.
+fn on_every_core<T: Send>(n: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let workers = cores().min(n);
+    if workers <= 1 {
+        return (0..n).map(job).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break done;
+            }
+            done.push((i, job(i)));
+        }
+    };
+    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
+        let mut place = |done: Vec<(usize, T)>| {
+            for (i, t) in done {
+                out[i] = Some(t);
+            }
+        };
+        place(work());
+        for h in helpers {
+            place(h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        }
+    });
+    out.into_iter().map(|t| t.expect("every index ran")).collect()
 }
 
 /// The schema node states of one training chunk, shared by its examples
@@ -394,8 +431,11 @@ impl SqlBert {
     /// once; Adam with linear warmup; gradients accumulate over
     /// micro-batches of 8. Each micro-batch computes the schema node
     /// states once and backpropagates through Schema2Graph once, with the
-    /// node gradient summed over its examples ([`ChunkNodes`]). Returns
-    /// per-epoch statistics.
+    /// node gradient summed over its examples ([`ChunkNodes`]). A
+    /// micro-batch's examples run on every core, each on a random stream
+    /// of its own, and their gradients land in visit order, so the
+    /// weights do not depend on the core count. Returns per-epoch
+    /// statistics.
     pub fn pretrain(&mut self, corpus: &[Query], epochs: usize, lr: f32) -> Vec<EpochStats> {
         self.pretrain_with(corpus, PretrainOptions::new(epochs, lr))
     }
@@ -441,54 +481,29 @@ impl SqlBert {
     pub fn encode_batch(&self, qs: &[Query]) -> Vec<Matrix> {
         let all = 0..self.layers.len();
         let kv = self.schema_side().map_or_else(|| vec![None; all.len()], |side| side.kv.clone());
+        // The no-grad mode is per-thread, so each query opens its own.
         let encode_one = |q: &Query| {
-            let pq = self.prepare(q);
-            let mut rng = StdRng::seed_from_u64(0);
-            self.stack(all.clone(), self.input.forward(&pq, false, &mut rng), &kv).value_clone()
+            preqr_nn::no_grad(|| {
+                let pq = self.prepare(q);
+                let mut rng = StdRng::seed_from_u64(0);
+                self.stack(all.clone(), self.input.forward(&pq, false, &mut rng), &kv).value_clone()
+            })
         };
-        let workers = cores().min(qs.len());
-        if workers <= 1 {
-            return preqr_nn::no_grad(|| qs.iter().map(encode_one).collect());
+        if qs.len() <= 1 || cores() <= 1 {
+            return qs.iter().map(encode_one).collect();
         }
-        let mut out: Vec<Option<Matrix>> = vec![None; qs.len()];
         // After a write, the calling thread encodes the first query alone
         // before any worker starts. That packs the cold weight panels once,
         // in the calling thread's heap, instead of once per worker in
         // allocator arenas the worker threads leave behind (+23 MiB peak
         // RSS on `encode_bulk` on a 2-vCPU host without it).
         let key: u64 = self.weights.iter().map(Tensor::version).sum();
-        let mut first = 0;
         // Relaxed: the key publishes nothing; a stale one only changes
         // which thread packs the panels.
-        if self.warm_key.swap(key, Ordering::Relaxed) != key {
-            out[0] = Some(preqr_nn::no_grad(|| encode_one(&qs[0])));
-            first = 1;
-        }
-        let next = AtomicUsize::new(first);
-        // The no-grad mode is per-thread, so each worker opens its own.
-        let work = || {
-            preqr_nn::no_grad(|| {
-                let mut done = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(q) = qs.get(i) else { break done };
-                    done.push((i, encode_one(q)));
-                }
-            })
-        };
-        std::thread::scope(|s| {
-            let helpers: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
-            let mut place = |done: Vec<(usize, Matrix)>| {
-                for (i, m) in done {
-                    out[i] = Some(m);
-                }
-            };
-            place(work());
-            for h in helpers {
-                place(h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
-            }
-        });
-        out.into_iter().map(|m| m.expect("every query is encoded")).collect()
+        let first = usize::from(self.warm_key.swap(key, Ordering::Relaxed) != key);
+        let mut out: Vec<Matrix> = qs[..first].iter().map(encode_one).collect();
+        out.extend(on_every_core(qs.len() - first, |i| encode_one(&qs[first + i])));
+        out
     }
 
     /// Encodes a query (eval mode, tape-free, over the cached schema
@@ -625,16 +640,35 @@ impl SqlBert {
 
 /// The MLM pre-training workload (§3.5.2), driven by the shared
 /// `preqr-train` Trainer: each micro-batch computes the schema node
-/// states once (`chunk_start`), each example masks tokens with the
-/// trainer-owned rng and backpropagates to the chunk's node leaf, and
-/// `chunk_end` runs the one Schema2Graph backward before the optimizer
-/// step ([`ChunkNodes`]). The `pretrain.{masked,correct}_tokens`
-/// counters are bumped from the epoch-end hook (epochs, steps, samples
-/// and loss are the Trainer's `train.*` metrics).
+/// states once (`chunk_start`), each example masks tokens and
+/// backpropagates to the chunk's node leaf, and `chunk_end` runs the one
+/// Schema2Graph backward before the optimizer step ([`ChunkNodes`]). The
+/// `pretrain.{masked,correct}_tokens` counters are bumped from the
+/// epoch-end hook (epochs, steps, samples and loss are the Trainer's
+/// `train.*` metrics).
+///
+/// Each example draws its masking and dropout from a stream of its own,
+/// seeded by one `u64` drawn from the trainer's rng in visit order, so
+/// a chunk's examples can run on every core ([`on_every_core`]). Their
+/// parameter gradients land in visit order ([`GradOrder`]), so the
+/// weights are bit-identical to running `step` over the chunk on one
+/// thread, whatever the core count.
 struct PretrainTask<'a> {
     model: &'a SqlBert,
     prepared: Vec<PreparedQuery>,
     nodes: Option<ChunkNodes>,
+}
+
+impl PretrainTask<'_> {
+    /// Forward and backward of example `idx` on the stream `seed`.
+    fn example(&self, idx: usize, seed: u64) -> StepOutput {
+        let nodes = self.nodes.as_ref().map(ChunkNodes::leaf);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (loss, masked, correct) = self.model.mlm_loss(&self.prepared[idx], nodes, &mut rng);
+        let scalar = f64::from(loss.value_clone().get(0, 0));
+        loss.backward();
+        StepOutput { loss: scalar, masked, correct }
+    }
 }
 
 impl TrainTask for PretrainTask<'_> {
@@ -655,11 +689,13 @@ impl TrainTask for PretrainTask<'_> {
     }
 
     fn step(&mut self, idx: usize, rng: &mut StdRng) -> StepOutput {
-        let nodes = self.nodes.as_ref().map(ChunkNodes::leaf);
-        let (loss, masked, correct) = self.model.mlm_loss(&self.prepared[idx], nodes, rng);
-        let scalar = f64::from(loss.value_clone().get(0, 0));
-        loss.backward();
-        StepOutput { loss: scalar, masked, correct }
+        self.example(idx, rng.random())
+    }
+
+    fn chunk(&mut self, idxs: &[usize], rng: &mut StdRng) -> Vec<StepOutput> {
+        let seeds: Vec<u64> = idxs.iter().map(|_| rng.random()).collect();
+        let order = GradOrder::new();
+        on_every_core(idxs.len(), |k| order.run(k, || self.example(idxs[k], seeds[k])))
     }
 
     fn chunk_end(&mut self) {

@@ -36,8 +36,9 @@ impl LstmCell {
         }
     }
 
-    /// One step: consumes a `1 × input` row and the previous `(h, c)` state,
-    /// returns the next `(h, c)`.
+    /// One step: consumes a `k × input` batch of rows and the previous
+    /// `k × hidden` `(h, c)` state, returns the next `(h, c)`. Rows do not
+    /// interact.
     pub fn step(&self, x: &Tensor, h: &Tensor, c: &Tensor) -> (Tensor, Tensor) {
         let gates =
             ops::add_row(&ops::add(&ops::matmul(x, &self.wx), &ops::matmul(h, &self.wh)), &self.b);
@@ -54,12 +55,20 @@ impl LstmCell {
     /// Runs the cell over an `n × input` sequence, returning all hidden
     /// states as an `n × hidden` tensor plus the final `(h, c)`.
     pub fn run(&self, seq: &Tensor) -> (Vec<Tensor>, Tensor, Tensor) {
-        let n = seq.value().rows();
-        let mut h = Tensor::constant(Matrix::zeros(1, self.hidden));
-        let mut c = Tensor::constant(Matrix::zeros(1, self.hidden));
+        self.run_batch(seq, 1)
+    }
+
+    /// [`LstmCell::run`] over `k` independent sequences of equal length,
+    /// stacked position-major: row `t·k + j` of `seq` is sequence `j`'s
+    /// input at position `t`. Every state is `k × hidden`, one row per
+    /// sequence.
+    fn run_batch(&self, seq: &Tensor, k: usize) -> (Vec<Tensor>, Tensor, Tensor) {
+        let n = seq.value().rows() / k;
+        let mut h = Tensor::constant(Matrix::zeros(k, self.hidden));
+        let mut c = Tensor::constant(Matrix::zeros(k, self.hidden));
         let mut outputs = Vec::with_capacity(n);
         for t in 0..n {
-            let x = ops::gather_rows(seq, &[t]);
+            let x = ops::gather_rows(seq, &(t * k..(t + 1) * k).collect::<Vec<_>>());
             let (h2, c2) = self.step(&x, &h, &c);
             outputs.push(h2.clone());
             h = h2;
@@ -87,7 +96,7 @@ impl Module for LstmCell {
 /// As in Eq. 2 of the paper, [`BiLstm::encode`] concatenates the *last*
 /// forward hidden state with the *first-position* reverse hidden state
 /// (i.e. the reverse state that has consumed the entire sequence),
-/// producing a `1 × 2·hidden` summary of a name's token sequence.
+/// producing one `2·hidden` summary row per token sequence.
 pub struct BiLstm {
     fwd: LstmCell,
     rev: LstmCell,
@@ -99,17 +108,25 @@ impl BiLstm {
         Self { fwd: LstmCell::new(input, hidden, rng), rev: LstmCell::new(input, hidden, rng) }
     }
 
-    /// Encodes an `n × input` sequence to a `1 × 2·hidden` vector.
+    /// Encodes `k` sequences of equal length to a `k × 2·hidden` summary,
+    /// one row per sequence. `seqs` stacks them position-major: row
+    /// `t·k + j` is sequence `j`'s input at position `t`, so an `n × input`
+    /// sequence is the batch of one. Rows do not interact, so each row is
+    /// bit-identical to encoding its sequence alone.
     ///
     /// # Panics
-    /// Panics on an empty sequence.
-    pub fn encode(&self, seq: &Tensor) -> Tensor {
-        let n = seq.value().rows();
-        assert!(n > 0, "BiLstm::encode requires a non-empty sequence");
-        let (_, h_fwd, _) = self.fwd.run(seq);
-        let reversed_idx: Vec<usize> = (0..n).rev().collect();
-        let rev_seq = ops::gather_rows(seq, &reversed_idx);
-        let (_, h_rev, _) = self.rev.run(&rev_seq);
+    /// Panics on empty sequences, or if `k` does not divide the row count.
+    pub fn encode(&self, seqs: &Tensor, k: usize) -> Tensor {
+        let rows = seqs.value().rows();
+        assert!(
+            rows > 0 && rows.is_multiple_of(k),
+            "BiLstm::encode requires k non-empty sequences"
+        );
+        let n = rows / k;
+        let (_, h_fwd, _) = self.fwd.run_batch(seqs, k);
+        let reversed_idx: Vec<usize> = (0..n).rev().flat_map(|t| t * k..(t + 1) * k).collect();
+        let rev_seqs = ops::gather_rows(seqs, &reversed_idx);
+        let (_, h_rev, _) = self.rev.run_batch(&rev_seqs, k);
         ops::concat_cols(&h_fwd, &h_rev)
     }
 
@@ -122,15 +139,9 @@ impl BiLstm {
         let reversed_idx: Vec<usize> = (0..n).rev().collect();
         let rev_seq = ops::gather_rows(seq, &reversed_idx);
         let (rev_states, _, _) = self.rev.run(&rev_seq);
-        let mut rows: Option<Tensor> = None;
-        for t in 0..n {
-            let row = ops::concat_cols(&fwd_states[t], &rev_states[n - 1 - t]);
-            rows = Some(match rows {
-                Some(acc) => ops::concat_rows(&acc, &row),
-                None => row,
-            });
-        }
-        rows.expect("non-empty sequence")
+        let rows: Vec<Tensor> =
+            (0..n).map(|t| ops::concat_cols(&fwd_states[t], &rev_states[n - 1 - t])).collect();
+        ops::stack_rows(&rows)
     }
 
     /// Output width of [`BiLstm::encode`].
@@ -170,8 +181,27 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(31);
         let bi = BiLstm::new(4, 3, &mut rng);
         let seq = Tensor::constant(Matrix::from_fn(6, 4, |r, c| (r + c) as f32 * 0.1));
-        assert_eq!(bi.encode(&seq).shape(), (1, 6));
+        assert_eq!(bi.encode(&seq, 1).shape(), (1, 6));
+        assert_eq!(bi.encode(&seq, 3).shape(), (3, 6));
         assert_eq!(bi.out_dim(), 6);
+    }
+
+    /// Seventeen sequences encoded as one batch: wide enough for the
+    /// packed matmul path, and every row equals its sequence alone.
+    #[test]
+    fn batched_encode_rows_match_single_sequences_bitwise() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let (k, n, input) = (17, 3, 32);
+        let bi = BiLstm::new(input, 32, &mut rng);
+        let at = |j: usize, t: usize, c: usize| ((j * 7 + t * 3 + c) % 11) as f32 * 0.1 - 0.5;
+        let batch = Tensor::constant(Matrix::from_fn(n * k, input, |r, c| at(r % k, r / k, c)));
+        let all = bi.encode(&batch, k).value_clone();
+        let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for j in 0..k {
+            let seq = Tensor::constant(Matrix::from_fn(n, input, |t, c| at(j, t, c)));
+            let alone = bi.encode(&seq, 1).value_clone();
+            assert_eq!(bits(all.row(j)), bits(alone.row(0)), "sequence {j}");
+        }
     }
 
     #[test]
@@ -188,8 +218,8 @@ mod tests {
         let bi = BiLstm::new(2, 4, &mut rng);
         let a = Tensor::constant(Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]));
         let b = Tensor::constant(Matrix::from_vec(2, 2, vec![0.0, 1.0, 1.0, 0.0]));
-        let ea = bi.encode(&a).value_clone();
-        let eb = bi.encode(&b).value_clone();
+        let ea = bi.encode(&a, 1).value_clone();
+        let eb = bi.encode(&b, 1).value_clone();
         assert_ne!(ea, eb, "BiLSTM should distinguish token order");
     }
 

@@ -12,8 +12,8 @@
 //! (AVX-512F, AVX2, baseline) and picked once at runtime. It keeps every
 //! per-element reduction in the same floating-point order as the retained
 //! serial reference kernels, so results are bit-identical on either path.
-//! A parameter's packed panels are kept from one [`ops::matmul`] to the
-//! next until its value is written.
+//! A parameter's packed panels are kept from one tape-free
+//! [`ops::matmul`] to the next until its value is written.
 //!
 //! # Example
 //!
@@ -48,4 +48,4 @@ pub mod serialize;
 pub mod tensor;
 
 pub use matrix::Matrix;
-pub use tensor::{no_grad, no_grad_active, NoGradGuard, Tensor};
+pub use tensor::{no_grad, no_grad_active, GradOrder, NoGradGuard, Tensor};

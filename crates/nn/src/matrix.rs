@@ -371,15 +371,6 @@ impl Matrix {
         out
     }
 
-    /// Concatenates two matrices with equal column counts along the row axis.
-    pub fn concat_rows(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.cols, "concat_rows col mismatch");
-        let mut data = Vec::with_capacity(self.data.len() + other.data.len());
-        data.extend_from_slice(&self.data);
-        data.extend_from_slice(&other.data);
-        Matrix { rows: self.rows + other.rows, cols: self.cols, data }
-    }
-
     /// Copy of columns `c0..c1` of every row.
     pub fn slice_cols(&self, c0: usize, c1: usize) -> Matrix {
         assert!(c0 <= c1 && c1 <= self.cols, "slice_cols out of range");
@@ -799,15 +790,6 @@ mod tests {
         assert_eq!(c.shape(), (2, 3));
         assert_eq!(c.row(0), &[1.0, 10.0, 11.0]);
         assert_eq!(c.row(1), &[3.0, 30.0, 31.0]);
-    }
-
-    #[test]
-    fn concat_rows_layout() {
-        let a = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
-        let b = Matrix::from_vec(2, 2, vec![3.0, 4.0, 5.0, 6.0]);
-        let c = a.concat_rows(&b);
-        assert_eq!(c.shape(), (3, 2));
-        assert_eq!(c.row(2), &[5.0, 6.0]);
     }
 
     #[test]

@@ -107,8 +107,9 @@ pub fn scale(a: &Tensor, s: f32) -> Tensor {
     )
 }
 
-/// Matrix product `a @ b`. A parameter `b` keeps its packed panels from
-/// one call to the next until its value is written.
+/// Matrix product `a @ b`. Under [`crate::no_grad`], a parameter `b`
+/// keeps its packed panels from one call to the next until its value is
+/// written.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let v = b.with_forward_panels(|bv, panels| a.value().matmul_with_panels(bv, panels));
     Tensor::from_op(
@@ -178,29 +179,35 @@ pub fn concat_cols(a: &Tensor, b: &Tensor) -> Tensor {
     )
 }
 
-/// Concatenates along the row axis (equal column counts).
-pub fn concat_rows(a: &Tensor, b: &Tensor) -> Tensor {
-    let v = a.value().concat_rows(&b.value());
-    let split = a.value().rows();
+/// Stacks `parts` along the row axis (equal column counts), in order:
+/// one copy of each part forward, one slice of the gradient back to each.
+///
+/// # Panics
+/// Panics on an empty `parts` or unequal column counts.
+pub fn stack_rows(parts: &[Tensor]) -> Tensor {
+    assert!(!parts.is_empty(), "stack_rows needs at least one part");
+    let cols = parts[0].shape().1;
+    let mut data = Vec::new();
+    let mut ends = Vec::with_capacity(parts.len());
+    for p in parts {
+        let v = p.value();
+        assert_eq!(v.cols(), cols, "stack_rows col mismatch");
+        data.extend_from_slice(v.data());
+        ends.push(ends.last().copied().unwrap_or(0) + v.rows());
+    }
+    let rows = ends.last().copied().unwrap_or(0);
     Tensor::from_op(
-        v,
-        vec![a.clone(), b.clone()],
+        Matrix::from_vec(rows, cols, data),
+        parts.to_vec(),
         Box::new(move |ctx| {
-            let g = ctx.grad_out;
-            if ctx.parents[0].requires_grad() {
-                let mut ga = Matrix::zeros(split, g.cols());
-                for r in 0..split {
-                    ga.row_mut(r).copy_from_slice(g.row(r));
+            let g = ctx.grad_out.data();
+            let mut start = 0;
+            for (p, &end) in ctx.parents.iter().zip(&ends) {
+                if p.requires_grad() {
+                    let part = g[start * cols..end * cols].to_vec();
+                    p.accumulate_grad(&Matrix::from_vec(end - start, cols, part));
                 }
-                ctx.parents[0].accumulate_grad(&ga);
-            }
-            if ctx.parents[1].requires_grad() {
-                let rows_b = g.rows() - split;
-                let mut gb = Matrix::zeros(rows_b, g.cols());
-                for r in 0..rows_b {
-                    gb.row_mut(r).copy_from_slice(g.row(split + r));
-                }
-                ctx.parents[1].accumulate_grad(&gb);
+                start = end;
             }
         }),
     )
@@ -788,7 +795,7 @@ mod tests {
         grad_check((2, 2), seeded, |x| {
             let other = Tensor::constant(Matrix::from_fn(2, 3, |r, c| seeded(r, c + 9)));
             let y = concat_cols(x, &other);
-            let z = concat_rows(&y, &Tensor::constant(Matrix::zeros(1, 5)));
+            let z = stack_rows(&[y.clone(), Tensor::constant(Matrix::zeros(1, 5)), y]);
             sum_all(&z)
         });
     }

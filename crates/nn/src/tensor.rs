@@ -15,12 +15,13 @@
 //! Tensors are `Send + Sync`: threads may share one model's parameters
 //! and build graphs over them at once. Node ids are unique across the
 //! process, so graphs built on different threads can meet; the no-grad
-//! mode is per-thread.
+//! mode is per-thread. Examples trained on several threads at once keep
+//! the serial order of their parameter gradients through [`GradOrder`].
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
 
 use crate::matrix::Matrix;
 
@@ -28,6 +29,8 @@ static NEXT_ID: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static NO_GRAD_DEPTH: Cell<u32> = const { Cell::new(0) };
+    /// The example this thread runs under [`GradOrder::run`], if any.
+    static EXAMPLE: RefCell<Option<Example>> = const { RefCell::new(None) };
 }
 
 fn next_id() -> u64 {
@@ -109,8 +112,9 @@ pub(crate) struct TensorData {
     version: AtomicU64,
     value: RwLock<Matrix>,
     /// A parameter's forward matmul panels (`value` packed for the
-    /// microkernel), filled by the first packed matmul that has it as the
-    /// right operand and emptied by every write. Unused by other nodes.
+    /// microkernel), filled by the first tape-free packed matmul that has
+    /// it as the right operand and emptied by every write. Unused by
+    /// other nodes.
     /// Filled only under `value`'s read lock and emptied only under its
     /// write lock, so panels of an old value are never stored after a
     /// write. Lock order: `value`, then `panels`. The slot is only ever
@@ -242,15 +246,18 @@ impl Tensor {
     }
 
     /// Runs `f` on the value and a slot for its packed forward matmul
-    /// panels (see [`Matrix::matmul_with_panels`]). A parameter lends a
-    /// copy of its own slot and keeps whatever `f` packed into an empty
-    /// one, until the next write empties it; any other tensor lends an
-    /// empty slot that is dropped after `f`. No lock on the slot is held
-    /// while `f` runs, and a warm slot is only ever read-locked, so
-    /// threads sharing a parameter never wait on each other here.
+    /// panels (see [`Matrix::matmul_with_panels`]). Under [`no_grad`], a
+    /// parameter lends a copy of its own slot and keeps whatever `f`
+    /// packed into an empty one, until the next write empties it. On the
+    /// tape, and for any other tensor, `f` gets an empty slot that is
+    /// dropped after it: training writes every weight after each chunk,
+    /// so panels kept there would only duplicate the weights. No lock on
+    /// the slot is held while `f` runs, and a warm slot is only ever
+    /// read-locked, so threads sharing a parameter never wait on each
+    /// other here.
     pub(crate) fn with_forward_panels<R>(&self, f: impl FnOnce(&Matrix, &mut Panels) -> R) -> R {
         let value = self.value();
-        if !self.is_param() {
+        if !self.is_param() || !no_grad_active() {
             return f(&value, &mut None);
         }
         let mut panels = self.0.panels.read().unwrap_or_else(PoisonError::into_inner).clone();
@@ -294,11 +301,19 @@ impl Tensor {
     }
 
     /// Adds `g` into this node's gradient buffer (no-op when the node does
-    /// not require gradients).
+    /// not require gradients). Inside [`GradOrder::run`], a parameter's
+    /// contribution is held back until every earlier example has landed.
     pub fn accumulate_grad(&self, g: &Matrix) {
         if !self.0.requires_grad {
             return;
         }
+        if self.is_param() && Example::defer(self, g) {
+            return;
+        }
+        self.add_grad(g);
+    }
+
+    fn add_grad(&self, g: &Matrix) {
         let mut slot = self.grad_slot();
         match slot.as_mut() {
             Some(acc) => acc.add_assign(g),
@@ -372,6 +387,147 @@ impl Tensor {
     }
 }
 
+/// Serial gradient order for the examples of one chunk, run on several
+/// threads at once.
+///
+/// Each example runs inside [`GradOrder::run`] with its index in the
+/// chunk. Its contributions to parameter gradients ([`Tensor::param`]
+/// leaves) land in the order the serial loop makes them: while an
+/// earlier example is still running, they are buffered in order; once
+/// every earlier example has landed, the buffer is flushed and the rest
+/// accumulate straight into the parameters. An example that finishes
+/// before its turn blocks until it comes, then hands the turn on. So
+/// every parameter sees exactly the serial loop's additions in the same
+/// order, and its bits do not depend on the thread count or on timing.
+/// Only parameter contributions change path; everything else in the
+/// example runs as it would alone.
+///
+/// Examples must be started in index order (any thread may take the next
+/// one), or a waiting example can wait for one that never starts. A
+/// panicking example poisons the order: examples waiting for their turn,
+/// and any that finish later, panic instead of blocking.
+pub struct GradOrder(Arc<Turns>);
+
+/// The shared state of a [`GradOrder`].
+struct Turns {
+    /// The example whose turn it is: every example before it has landed.
+    /// Stored with `Release` after the previous example's last
+    /// contribution and loaded with `Acquire`, so the example that sees
+    /// its turn also sees every earlier addition.
+    turn: AtomicUsize,
+    /// Set (`Release`, read `Acquire`) when an example unwinds.
+    poisoned: AtomicBool,
+    lock: Mutex<()>,
+    landed: Condvar,
+}
+
+impl Turns {
+    fn lock(&self) -> MutexGuard<'_, ()> {
+        self.lock.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn poisoned(&self) -> bool {
+        self.poisoned.load(Ordering::Acquire)
+    }
+}
+
+impl Default for GradOrder {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl GradOrder {
+    /// An order whose first example is `0`.
+    pub fn new() -> Self {
+        Self(Arc::new(Turns {
+            turn: AtomicUsize::new(0),
+            poisoned: AtomicBool::new(false),
+            lock: Mutex::new(()),
+            landed: Condvar::new(),
+        }))
+    }
+
+    /// Runs `f` on this thread as example `k` (see the type docs), then
+    /// waits for its turn, lands its held contributions and hands the
+    /// turn to `k + 1`. `f` should return no tensor of the example's
+    /// graph, so the graph is freed before the wait.
+    ///
+    /// # Panics
+    /// Panics if `f` panics, if another example of this order panicked
+    /// before this one landed, or when called inside another `run` on the
+    /// same thread.
+    pub fn run<R>(&self, k: usize, f: impl FnOnce() -> R) -> R {
+        let turns = &self.0;
+        let example = Example { turns: turns.clone(), k, live: false, held: Vec::new() };
+        let outer = EXAMPLE.replace(Some(example));
+        assert!(outer.is_none(), "GradOrder::run does not nest");
+        let poison = PoisonOnUnwind(turns);
+        let out = f();
+        let example = EXAMPLE.take().expect("the example is still installed");
+        drop(
+            turns
+                .landed
+                .wait_while(turns.lock(), |_| {
+                    !turns.poisoned() && turns.turn.load(Ordering::Acquire) != k
+                })
+                .unwrap_or_else(PoisonError::into_inner),
+        );
+        assert!(!turns.poisoned(), "another example of the chunk panicked");
+        for (t, g) in &example.held {
+            t.add_grad(g);
+        }
+        std::mem::forget(poison);
+        let _guard = turns.lock();
+        turns.turn.store(k + 1, Ordering::Release);
+        turns.landed.notify_all();
+        out
+    }
+}
+
+/// Poisons the order if an example unwinds before it lands, and wakes
+/// every waiter, so none blocks on a turn that will never come.
+struct PoisonOnUnwind<'a>(&'a Turns);
+
+impl Drop for PoisonOnUnwind<'_> {
+    fn drop(&mut self) {
+        EXAMPLE.set(None);
+        let _guard = self.0.lock();
+        self.0.poisoned.store(true, Ordering::Release);
+        self.0.landed.notify_all();
+    }
+}
+
+/// One example running under [`GradOrder::run`] on this thread.
+struct Example {
+    turns: Arc<Turns>,
+    k: usize,
+    /// Whether every earlier example has landed (once true, stays true).
+    live: bool,
+    /// Parameter contributions made before the turn came, in order.
+    held: Vec<(Tensor, Matrix)>,
+}
+
+impl Example {
+    /// Holds back `g` for parameter `t` if this thread runs an example
+    /// whose turn has not come, and returns whether it did. The first
+    /// contribution after the turn comes lands the held ones first.
+    fn defer(t: &Tensor, g: &Matrix) -> bool {
+        EXAMPLE.with_borrow_mut(|slot| {
+            let Some(ex) = slot.as_mut().filter(|ex| !ex.live) else { return false };
+            if ex.turns.turn.load(Ordering::Acquire) != ex.k {
+                ex.held.push((t.clone(), g.clone()));
+                return true;
+            }
+            ex.live = true;
+            for (held, g) in ex.held.drain(..) {
+                held.add_grad(&g);
+            }
+            false
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -423,8 +579,9 @@ mod tests {
     }
 
     /// A param above the packed-matmul size gate keeps its panels between
-    /// calls, and every write path empties them: the next product is then
-    /// the serial reference of the new value, bit for bit.
+    /// tape-free calls, and every write path empties them: the next
+    /// product is then the serial reference of the new value, bit for
+    /// bit. A product recorded on the tape packs into a slot of its own.
     #[test]
     fn param_panels_never_outlive_a_write() {
         let bits = |m: &Matrix| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -437,9 +594,14 @@ mod tests {
         let cached = |w: &Tensor| w.0.panels.read().unwrap().as_ref().map(|p| p.as_ptr());
         let check = |what: &str| {
             let want = a.value().matmul_serial(&w.value());
-            assert_eq!(bits(&crate::ops::matmul(&a, &w).value()), bits(&want), "{what}");
+            let got = no_grad(|| crate::ops::matmul(&a, &w).value_clone());
+            assert_eq!(bits(&got), bits(&want), "{what}");
             assert!(cached(&w).is_some(), "{what}: a packed product fills the cache");
         };
+
+        let taped = crate::ops::matmul(&a, &w);
+        assert_eq!(bits(&taped.value()), bits(&a.value().matmul_serial(&w.value())));
+        assert!(cached(&w).is_none(), "a product on the tape keeps no panels");
 
         check("first product");
         let first = cached(&w);
@@ -466,6 +628,73 @@ mod tests {
         assert!(cached(&w).is_none());
         check("after apply_params");
         assert_eq!(w.value_clone(), fill(4));
+    }
+
+    /// Two examples on two threads whose contributions do not commute in
+    /// f32: example 0 adds 1, example 1 adds 1e8 then −1e8. Serially the
+    /// 1 is absorbed (1 + 1e8 = 1e8 in f32) and the sum is 0; example 1
+    /// landing first would give 1. A barrier makes example 1 finish its
+    /// backward before example 0 starts, so it must hold its
+    /// contributions, wait for example 0, then land them.
+    #[test]
+    fn grad_order_lands_examples_in_serial_order() {
+        let serial = Tensor::param(Matrix::zeros(1, 1));
+        for v in [1.0, 1e8, -1e8] {
+            serial.accumulate_grad(&Matrix::full(1, 1, v));
+        }
+        assert_eq!(serial.grad().unwrap().get(0, 0), 0.0);
+
+        let p = Tensor::param(Matrix::zeros(1, 1));
+        let add = |v: f32| p.accumulate_grad(&Matrix::full(1, 1, v));
+        let order = GradOrder::new();
+        let done = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                order.run(1, || {
+                    add(1e8);
+                    add(-1e8);
+                    assert!(p.grad().is_none(), "example 1 held its contributions");
+                    done.wait();
+                })
+            });
+            order.run(0, || {
+                done.wait();
+                add(1.0);
+            });
+        });
+        assert_eq!(p.grad().unwrap().get(0, 0).to_bits(), 0.0f32.to_bits());
+        // Outside `run`, contributions land at once.
+        add(2.0);
+        assert_eq!(p.grad().unwrap().get(0, 0), 2.0);
+    }
+
+    /// A panicking example fails the chunk: the example waiting for its
+    /// turn behind it panics instead of blocking, and the scope joins.
+    #[test]
+    fn grad_order_panic_fails_the_chunk_without_hanging() {
+        let p = Tensor::param(Matrix::zeros(1, 1));
+        let order = GradOrder::new();
+        let started = std::sync::Barrier::new(2);
+        let chunk = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    order.run(1, || {
+                        p.accumulate_grad(&Matrix::full(1, 1, 1.0));
+                        started.wait();
+                    })
+                });
+                order.run(0, || {
+                    started.wait();
+                    panic!("example 0 failed");
+                })
+            })
+        }));
+        assert!(chunk.is_err(), "the chunk must panic");
+        assert!(p.grad().is_none(), "a poisoned chunk lands nothing after the panic");
+        // The thread is free for the next chunk.
+        let next = GradOrder::new();
+        next.run(0, || p.accumulate_grad(&Matrix::full(1, 1, 3.0)));
+        assert_eq!(p.grad().unwrap().get(0, 0), 3.0);
     }
 
     #[test]

@@ -16,7 +16,11 @@
 //! at epoch start, then per-example draws in visit order) and performs
 //! floating-point accumulation in the same order, so every migrated
 //! loop's loss/accuracy trajectory is bit-identical to its pre-harness
-//! implementation at a fixed seed. The in-tree [`reference`](mod@reference) module keeps
+//! implementation at a fixed seed. A task's [`TrainTask::chunk`] hook
+//! may run a chunk's examples any way it likes (MLM pre-training runs
+//! them on every core), but must draw from the RNG and train exactly as
+//! [`TrainTask::step`] over them in visit order would; the trainer sums
+//! the chunk's outputs in visit order. The in-tree [`reference`](mod@reference) module keeps
 //! an independently written copy of the legacy loop shape; the golden
 //! tests pin `Trainer` against it bit-for-bit.
 //!

@@ -28,14 +28,16 @@ pub struct StepOutput {
 /// gradient-accumulation chunking, the optimizer, the LR schedule, early
 /// stopping, and checkpointing; the task owns the forward/backward pass
 /// and optional epoch-end evaluation. Hooks fire in a fixed order per
-/// chunk — `chunk_start`, then `step` per example, then `chunk_end`,
-/// then (after the optimizer update) `post_step` — and per epoch —
-/// `eval`, then `epoch_end`.
+/// chunk — `chunk_start`, then `chunk` (by default `step` per example),
+/// then `chunk_end`, then (after the optimizer update) `post_step` — and
+/// per epoch — `eval`, then `epoch_end`.
 ///
 /// Determinism contract for implementors: `step` must consume `rng`
-/// identically given the same `(idx, rng state)`, and must not read the
-/// RNG outside `step` — the trainer's checkpoint/resume machinery relies
-/// on the stream advancing only at these points.
+/// identically given the same `(idx, rng state)`; `chunk` must consume it
+/// and train exactly as `step` over its examples in order would; and
+/// neither may read the RNG outside these two hooks — the trainer's
+/// checkpoint/resume machinery relies on the stream advancing only at
+/// these points.
 pub trait TrainTask {
     /// Short task name, used for the `train.run` span and checkpoints.
     fn name(&self) -> &'static str;
@@ -57,6 +59,15 @@ pub trait TrainTask {
 
     /// Runs forward + backward for example `idx` and reports the loss.
     fn step(&mut self, idx: usize, rng: &mut StdRng) -> StepOutput;
+
+    /// Runs one chunk's examples, `idxs` in visit order, and reports each
+    /// one's output in that order. The default calls `step` per example.
+    /// An override may run the examples in any way (e.g. on several
+    /// threads) as long as the draws from `rng`, the gradients and the
+    /// outputs are exactly those of the default.
+    fn chunk(&mut self, idxs: &[usize], rng: &mut StdRng) -> Vec<StepOutput> {
+        idxs.iter().map(|&idx| self.step(idx, rng)).collect()
+    }
 
     /// Called after the chunk's last `step` and before the optimizer
     /// update (e.g. to backpropagate gradients summed over the chunk

@@ -219,8 +219,7 @@ impl Trainer {
                 };
                 task.chunk_start();
                 let mut chunk_loss = 0.0f64;
-                for &idx in &idxs {
-                    let out = task.step(idx, rng);
+                for out in task.chunk(&idxs, rng) {
                     chunk_loss += out.loss;
                     run.totals.loss += out.loss;
                     run.totals.masked += out.masked;

@@ -12,7 +12,7 @@
 use std::cell::RefCell;
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use preqr::{PreqrConfig, SqlBert};
 use preqr_baselines::lstm_est::{LstmEstimator, LstmVocab};
@@ -129,6 +129,9 @@ fn pretrain_config(corpus_len: usize) -> TrainerConfig {
 /// same per-epoch stats, same final weights. The corpus length is
 /// deliberately not a multiple of the chunk size (22 % 8 != 0) so the
 /// schedule's `scheduled_steps` chunk counting is exercised end to end.
+/// Each example masks and drops out from a stream of its own, seeded by
+/// one draw from the loop's rng when the example runs; production draws
+/// a chunk's seeds up front and runs its examples on every core.
 ///
 /// The reference task shares each chunk's schema side the way
 /// pre-training does, written here from the public tensor API: the
@@ -150,7 +153,8 @@ fn pretrain_matches_legacy_reference_bit_for_bit() {
     let mut task = FnTask::new("pretrain", prepared.len(), legacy.params(), |idx, rng| {
         let chunk = chunk.borrow();
         let leaf = chunk.as_ref().map(|(_, leaf)| leaf);
-        let (loss, masked, correct) = legacy.mlm_loss(&prepared[idx], leaf, rng);
+        let mut example_rng = StdRng::seed_from_u64(rng.random());
+        let (loss, masked, correct) = legacy.mlm_loss(&prepared[idx], leaf, &mut example_rng);
         let scalar = f64::from(loss.value_clone().get(0, 0));
         loss.backward();
         StepOutput { loss: scalar, masked, correct }
@@ -173,7 +177,8 @@ fn pretrain_matches_legacy_reference_bit_for_bit() {
 /// PreQRNT (no schema module) against the legacy per-example task, whose
 /// every example backpropagates through the node states itself: with no
 /// schema side to share, pre-training runs exactly as it did before the
-/// one-backward-per-chunk schema side, bit for bit.
+/// one-backward-per-chunk schema side, bit for bit, apart from the
+/// per-example streams.
 #[test]
 fn pretrain_without_schema_matches_legacy_reference_bit_for_bit() {
     let (corpus, mut trained, legacy) = pretrain_setup(PreqrConfig::test().without_schema());
@@ -185,7 +190,10 @@ fn pretrain_without_schema_matches_legacy_reference_bit_for_bit() {
     let prepared: Vec<_> = corpus.iter().map(|q| legacy.prepare(q)).collect();
     let nodes = RefCell::new(None);
     let mut task = FnTask::new("pretrain", prepared.len(), legacy.params(), |idx, rng| {
-        let (loss, masked, correct) = legacy.mlm_loss(&prepared[idx], nodes.borrow().as_ref(), rng);
+        let mut example_rng = StdRng::seed_from_u64(rng.random());
+        let nodes = nodes.borrow();
+        let (loss, masked, correct) =
+            legacy.mlm_loss(&prepared[idx], nodes.as_ref(), &mut example_rng);
         let scalar = f64::from(loss.value_clone().get(0, 0));
         loss.backward();
         StepOutput { loss: scalar, masked, correct }
