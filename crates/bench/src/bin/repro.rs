@@ -4,18 +4,19 @@
 //! `results/<id>.txt` under the current directory, with progress on
 //! stderr. One context serves the whole run, so each distinct model
 //! configuration is pre-trained once. `PREQR_SCALE=full` selects the
-//! larger sizes.
+//! larger sizes; an unknown artifact id or `PREQR_SCALE` value exits 2
+//! before any work.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use preqr_bench::{repro, Ctx};
+use preqr_bench::{read_scale, repro, Ctx};
 
 fn main() -> ExitCode {
     let names: Vec<String> = std::env::args().skip(1).collect();
-    let artifacts = match repro::select(&names) {
+    let artifacts = match read_scale().and_then(|_| repro::select(&names)) {
         Ok(artifacts) => artifacts,
         Err(e) => {
             eprintln!("repro: {e}");

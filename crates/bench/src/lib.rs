@@ -33,12 +33,27 @@ pub enum Scale {
     Full,
 }
 
-/// Reads `PREQR_SCALE` (`small` | `full`).
-pub fn scale() -> Scale {
-    match std::env::var("PREQR_SCALE").as_deref() {
-        Ok("full") => Scale::Full,
-        _ => Scale::Small,
+/// Parses a `PREQR_SCALE` value: `small` or unset is [`Scale::Small`],
+/// `full` is [`Scale::Full`], and anything else is an error naming the
+/// valid values.
+pub fn parse_scale(value: Option<&str>) -> Result<Scale, String> {
+    match value {
+        None | Some("small") => Ok(Scale::Small),
+        Some("full") => Ok(Scale::Full),
+        Some(other) => Err(format!("unknown PREQR_SCALE `{other}`; valid values: small full")),
     }
+}
+
+/// Reads `PREQR_SCALE` through [`parse_scale`].
+pub fn read_scale() -> Result<Scale, String> {
+    let value = std::env::var_os("PREQR_SCALE").map(|v| v.to_string_lossy().into_owned());
+    parse_scale(value.as_deref())
+}
+
+/// [`read_scale`], panicking on an invalid value (`repro` checks it
+/// before any work and exits 2 instead).
+pub fn scale() -> Scale {
+    read_scale().unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Scale-dependent experiment sizes.
@@ -296,6 +311,18 @@ mod tests {
         let f = Sizes::of(Scale::Full);
         assert!(f.movies > s.movies);
         assert!(f.pretrain > s.pretrain);
+    }
+
+    #[test]
+    fn parse_scale_accepts_only_small_full_or_unset() {
+        assert_eq!(parse_scale(None), Ok(Scale::Small));
+        assert_eq!(parse_scale(Some("small")), Ok(Scale::Small));
+        assert_eq!(parse_scale(Some("full")), Ok(Scale::Full));
+        for typo in ["ful", "Full", "", " full", "large"] {
+            let err = parse_scale(Some(typo)).unwrap_err();
+            assert!(err.contains(&format!("`{typo}`")), "{err}");
+            assert!(err.contains("small full"), "{err}");
+        }
     }
 
     #[test]

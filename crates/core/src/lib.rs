@@ -49,5 +49,5 @@ pub mod update;
 pub use config::PreqrConfig;
 pub use embedding::{InputEmbedding, PreparedQuery, ValueBuckets};
 pub use schema2graph::Schema2Graph;
-pub use sqlbert::{ChunkNodes, EpochStats, PretrainOptions, SqlBert};
+pub use sqlbert::{ChunkNodes, EpochStats, SqlBert};
 pub use trm_g::TrmG;

@@ -14,9 +14,7 @@ use preqr_nn::layers::{join, Linear, Module};
 use preqr_nn::{ops, GradOrder, Matrix, Tensor};
 use preqr_schema::Schema;
 use preqr_sql::ast::Query;
-use preqr_train::{
-    CheckpointConfig, Plan, Schedule, StepOutput, TrainTask, Trainer, TrainerConfig,
-};
+use preqr_train::{Plan, Schedule, StepOutput, TrainTask, Trainer, TrainerConfig};
 
 use crate::config::PreqrConfig;
 use crate::embedding::{InputEmbedding, PreparedQuery, ValueBuckets};
@@ -136,29 +134,6 @@ impl ChunkNodes {
 /// Per-epoch training statistics — the shared `preqr-train` report type
 /// (re-exported here because pre-training has always returned it).
 pub use preqr_train::EpochStats;
-
-/// Options for [`SqlBert::pretrain_with`]: the plain epochs/lr pair plus
-/// the trainer capabilities (checkpointing, halting) that
-/// [`SqlBert::pretrain`] leaves off.
-#[derive(Clone, Debug)]
-pub struct PretrainOptions {
-    /// Number of epochs.
-    pub epochs: usize,
-    /// Base learning rate (warmup-linear schedule over the real step
-    /// count).
-    pub lr: f32,
-    /// Periodic checkpointing with crash-resume.
-    pub checkpoint: Option<CheckpointConfig>,
-    /// Stop once the global step counter reaches this value.
-    pub halt_after_steps: Option<u64>,
-}
-
-impl PretrainOptions {
-    /// Plain pre-training: no checkpointing, no halting.
-    pub fn new(epochs: usize, lr: f32) -> Self {
-        Self { epochs, lr, checkpoint: None, halt_after_steps: None }
-    }
-}
 
 impl SqlBert {
     /// Builds the model: vocabulary + automaton from the corpus, the
@@ -437,21 +412,10 @@ impl SqlBert {
     /// weights do not depend on the core count. Returns per-epoch
     /// statistics.
     pub fn pretrain(&mut self, corpus: &[Query], epochs: usize, lr: f32) -> Vec<EpochStats> {
-        self.pretrain_with(corpus, PretrainOptions::new(epochs, lr))
-    }
-
-    /// [`SqlBert::pretrain`] with the full trainer surface: periodic
-    /// checkpointing with crash-resume, and halting at a step boundary.
-    pub fn pretrain_with(&mut self, corpus: &[Query], opts: PretrainOptions) -> Vec<EpochStats> {
         let mut rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(1));
         let prepared: Vec<PreparedQuery> = corpus.iter().map(|q| self.prepare(q)).collect();
-        let mut config = TrainerConfig::new(
-            Plan::Epochs { epochs: opts.epochs, chunk: 8, shuffle: true },
-            opts.lr,
-        )
-        .with_schedule(Schedule::bert(opts.epochs, corpus.len(), 8));
-        config.checkpoint = opts.checkpoint;
-        config.halt_after_steps = opts.halt_after_steps;
+        let config = TrainerConfig::new(Plan::Epochs { epochs, chunk: 8, shuffle: true }, lr)
+            .with_schedule(Schedule::bert(epochs, corpus.len(), 8));
         let mut task = PretrainTask { model: &*self, prepared, nodes: None };
         let report = Trainer::new(config).fit(&mut task, &mut rng);
         obs::flush_metrics();

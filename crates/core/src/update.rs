@@ -58,7 +58,9 @@ pub struct UpdateReport {
     pub seconds: f64,
     /// Number of parameters the optimizer owned.
     pub trained_params: usize,
-    /// Final mean MLM loss over the sample set.
+    /// Final MLM loss. Cases 1–3: the mean over the last window of at
+    /// most 4 samples (`TrainReport::last_chunk_loss`). Case 4: the last
+    /// epoch's mean over the whole corpus (NaN when no epoch ran).
     pub final_loss: f64,
 }
 

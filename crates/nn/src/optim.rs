@@ -42,35 +42,6 @@ impl Adam {
         self.params.len()
     }
 
-    /// Optimizer steps taken so far (the bias-correction timestep).
-    pub fn step_count(&self) -> u64 {
-        self.t
-    }
-
-    /// First and second moment estimates, parameter-aligned — for
-    /// checkpointing optimizer state alongside the parameters.
-    pub fn moments(&self) -> (&[Matrix], &[Matrix]) {
-        (&self.m, &self.v)
-    }
-
-    /// Restores state captured via [`Adam::step_count`] /
-    /// [`Adam::moments`], making a resumed run continue bit-identically.
-    ///
-    /// # Panics
-    /// If the moment vectors don't match the managed parameters in count
-    /// or shape.
-    pub fn restore_state(&mut self, t: u64, m: Vec<Matrix>, v: Vec<Matrix>) {
-        assert_eq!(m.len(), self.params.len(), "first-moment count mismatch");
-        assert_eq!(v.len(), self.params.len(), "second-moment count mismatch");
-        for ((p, mi), vi) in self.params.iter().zip(&m).zip(&v) {
-            assert_eq!(mi.shape(), p.shape(), "first-moment shape mismatch");
-            assert_eq!(vi.shape(), p.shape(), "second-moment shape mismatch");
-        }
-        self.t = t;
-        self.m = m;
-        self.v = v;
-    }
-
     /// Applies one Adam update, consuming and clearing gradients. Skips
     /// parameters with no accumulated gradient (sparse updates are normal
     /// for embedding tables when a batch doesn't touch every module).

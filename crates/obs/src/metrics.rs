@@ -36,8 +36,6 @@ pub enum Metric {
     TrainSamples,
     /// Trainer runs ended by validation early stopping.
     TrainEarlyStops,
-    /// Trainer checkpoints written.
-    TrainCheckpoints,
     /// Queries executed by the engine.
     EngineQueries,
     /// Base-table rows scanned by the engine (pre-filter).
@@ -70,7 +68,7 @@ pub enum Metric {
 
 impl Metric {
     /// Every counter, in flush order.
-    pub const ALL: [Metric; 24] = [
+    pub const ALL: [Metric; 23] = [
         Metric::NnMatmulCalls,
         Metric::NnMatmulPacks,
         Metric::PretrainMaskedTokens,
@@ -80,7 +78,6 @@ impl Metric {
         Metric::TrainSteps,
         Metric::TrainSamples,
         Metric::TrainEarlyStops,
-        Metric::TrainCheckpoints,
         Metric::EngineQueries,
         Metric::EngineRowsScanned,
         Metric::EngineCapHits,
@@ -109,7 +106,6 @@ impl Metric {
             Metric::TrainSteps => "train.steps",
             Metric::TrainSamples => "train.samples",
             Metric::TrainEarlyStops => "train.early_stops",
-            Metric::TrainCheckpoints => "train.checkpoints",
             Metric::EngineQueries => "engine.queries",
             Metric::EngineRowsScanned => "engine.rows_scanned",
             Metric::EngineCapHits => "engine.cap_hits",

@@ -2,9 +2,7 @@
 //! under the name `rand` and calls the `rand 0.9` surface it needs:
 //! `StdRng` (xoshiro256** seeded via splitmix64),
 //! `SeedableRng::seed_from_u64`, `Rng::{random, random_range, random_bool}`
-//! and `seq::SliceRandom::shuffle`, plus two inherent methods of its own,
-//! `StdRng::{state, from_state}`, that read and rebuild the exact
-//! generator state (checkpoints store it). Deterministic per seed: the
+//! and `seq::SliceRandom::shuffle`. Deterministic per seed: the
 //! same seed gives the same bits on every platform and thread count.
 
 pub trait SeedableRng: Sized {
@@ -36,18 +34,6 @@ impl SeedableRng for StdRngImpl {
 }
 
 impl StdRngImpl {
-    /// The exact xoshiro256** state: [`StdRngImpl::from_state`] of it
-    /// continues this generator's stream bit for bit.
-    pub fn state(&self) -> [u64; 4] {
-        self.s
-    }
-
-    /// Rebuilds a generator from a state returned by
-    /// [`StdRngImpl::state`].
-    pub fn from_state(s: [u64; 4]) -> Self {
-        Self { s }
-    }
-
     fn next_raw(&mut self) -> u64 {
         // xoshiro256**
         let s = &mut self.s;
@@ -184,22 +170,6 @@ pub mod seq {
                 let j = (rng.next_u64() % (i as u64 + 1)) as usize;
                 self.swap(i, j);
             }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::rngs::StdRng;
-    use super::{Rng, SeedableRng};
-
-    #[test]
-    fn from_state_continues_the_stream() {
-        let mut rng = StdRng::seed_from_u64(9);
-        rng.next_u64();
-        let mut copy = StdRng::from_state(rng.state());
-        for _ in 0..8 {
-            assert_eq!(copy.next_u64(), rng.next_u64());
         }
     }
 }

@@ -5,7 +5,7 @@
 //! chunks, `set_lr` + `step` per chunk, per-item f64 loss accumulation,
 //! and (for the estimation trainers) epoch-end validation with
 //! patience-3 early stopping and best-snapshot restore. This module
-//! keeps that shape alive — no observability, no checkpointing, nothing
+//! keeps that shape alive — no observability, nothing
 //! shared with [`crate::Trainer`]'s control flow — so the golden tests
 //! can pin `Trainer::fit` against it bit-for-bit.
 //!
@@ -23,9 +23,8 @@ use crate::trainer::{Plan, TrainerConfig};
 
 /// Runs `task` through the legacy loop shape described by `config`.
 ///
-/// Checkpointing and halting are ignored (the legacy loops had
-/// neither); everything else — shuffling, chunking, LR scheduling,
-/// early stopping, snapshot restore — follows the pre-refactor code.
+/// Shuffling, chunking, LR scheduling, early stopping and snapshot
+/// restore all follow the pre-refactor code.
 pub fn run(task: &mut dyn TrainTask, config: &TrainerConfig, rng: &mut StdRng) -> TrainReport {
     match config.plan {
         Plan::Epochs { epochs, chunk, shuffle } => {
@@ -117,7 +116,7 @@ fn run_epochs(
             p.set_value(m);
         }
     }
-    TrainReport { stats, steps: step, early_stopped, halted: false, last_chunk_loss }
+    TrainReport { stats, steps: step, early_stopped, last_chunk_loss }
 }
 
 /// The `update.rs::train_subset` shape: a sliding window over the
@@ -162,11 +161,5 @@ fn run_window(
         correct: 0,
         val: None,
     };
-    TrainReport {
-        stats: vec![st],
-        steps: steps as u64,
-        early_stopped: false,
-        halted: false,
-        last_chunk_loss,
-    }
+    TrainReport { stats: vec![st], steps: steps as u64, early_stopped: false, last_chunk_loss }
 }

@@ -31,16 +31,12 @@ pub struct EpochStats {
 /// Outcome of one [`crate::Trainer::fit`] run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TrainReport {
-    /// Per-epoch statistics, in epoch order (includes epochs restored
-    /// from a resumed checkpoint).
+    /// Per-epoch statistics, in epoch order.
     pub stats: Vec<EpochStats>,
     /// Total optimizer steps taken (global step counter).
     pub steps: u64,
     /// Whether validation early stopping ended the run.
     pub early_stopped: bool,
-    /// Whether the run halted at a checkpoint boundary
-    /// (`halt_after_steps`) instead of running to completion.
-    pub halted: bool,
     /// Mean loss of the last micro-batch (the incremental-update paths
     /// report this, matching the legacy `train_subset` return value).
     pub last_chunk_loss: f64,

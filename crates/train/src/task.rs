@@ -25,8 +25,8 @@ pub struct StepOutput {
 /// A trainable workload, driven example-at-a-time by the [`crate::Trainer`].
 ///
 /// The trainer owns ordering (deterministic Fisher–Yates shuffling),
-/// gradient-accumulation chunking, the optimizer, the LR schedule, early
-/// stopping, and checkpointing; the task owns the forward/backward pass
+/// gradient-accumulation chunking, the optimizer, the LR schedule and
+/// early stopping; the task owns the forward/backward pass
 /// and optional epoch-end evaluation. Hooks fire in a fixed order per
 /// chunk — `chunk_start`, then `chunk` (by default `step` per example),
 /// then `chunk_end`, then (after the optimizer update) `post_step` — and
@@ -35,11 +35,11 @@ pub struct StepOutput {
 /// Determinism contract for implementors: `step` must consume `rng`
 /// identically given the same `(idx, rng state)`; `chunk` must consume it
 /// and train exactly as `step` over its examples in order would; and
-/// neither may read the RNG outside these two hooks — the trainer's
-/// checkpoint/resume machinery relies on the stream advancing only at
-/// these points.
+/// neither may read the RNG outside these two hooks. The trainer itself
+/// draws only each epoch's shuffle, so a run's bits follow from the seed
+/// alone, and the golden tests pin them against [`crate::reference`].
 pub trait TrainTask {
-    /// Short task name, used for the `train.run` span and checkpoints.
+    /// Short task name, used for the `train.run` and `train.epoch` spans.
     fn name(&self) -> &'static str;
 
     /// Number of training examples.

@@ -1,17 +1,12 @@
 //! Per-chunk hook order: `chunk_start`, `step` per example, `chunk_end`,
 //! the optimizer step, then `post_step` — under both plans, on a short
-//! last chunk, in `Trainer::fit` and in `reference::run` alike, and with
-//! `chunk_end` finished before any checkpoint save or halt.
-
-use std::path::PathBuf;
+//! last chunk, and in `Trainer::fit` and in `reference::run` alike.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use preqr_nn::{Matrix, Tensor};
-use preqr_train::{
-    reference, CheckpointConfig, Plan, StepOutput, TrainTask, Trainer, TrainerConfig,
-};
+use preqr_train::{reference, Plan, StepOutput, TrainTask, Trainer, TrainerConfig};
 
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Hook {
@@ -21,14 +16,12 @@ enum Hook {
     Post,
 }
 
-/// One hook call: which hook, the parameter's write version (the
-/// optimizer step is the only write), and whether the checkpoint file
-/// existed at that point.
+/// One hook call: which hook, and the parameter's write version (the
+/// optimizer step is the only write).
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct Call {
     hook: Hook,
     version: u64,
-    checkpoint: bool,
 }
 
 /// A task that records its hook calls. Every step puts a gradient on the
@@ -36,25 +29,22 @@ struct Call {
 struct Recorder {
     n: usize,
     param: Tensor,
-    checkpoint: Option<PathBuf>,
     calls: Vec<Call>,
 }
 
 impl Recorder {
-    fn new(n: usize, checkpoint: Option<PathBuf>) -> Self {
-        Self { n, param: Tensor::param(Matrix::zeros(1, 1)), checkpoint, calls: Vec::new() }
+    fn new(n: usize) -> Self {
+        Self { n, param: Tensor::param(Matrix::zeros(1, 1)), calls: Vec::new() }
     }
 
     fn record(&mut self, hook: Hook) {
-        let checkpoint = self.checkpoint.as_ref().is_some_and(|p| p.exists());
-        self.calls.push(Call { hook, version: self.param.version(), checkpoint });
+        self.calls.push(Call { hook, version: self.param.version() });
     }
 
     /// The calls split into chunks, each checked for the hook order and
     /// for exactly one optimizer step between `chunk_end` and
-    /// `post_step`. Returns each chunk's example indices and whether the
-    /// checkpoint file existed during it.
-    fn chunks(&self) -> Vec<(Vec<usize>, bool)> {
+    /// `post_step`. Returns each chunk's example indices.
+    fn chunks(&self) -> Vec<Vec<usize>> {
         let mut out = Vec::new();
         for chunk in self.calls.split_inclusive(|c| c.hook == Hook::Post) {
             let hooks: Vec<Hook> = chunk.iter().map(|c| c.hook).collect();
@@ -71,9 +61,7 @@ impl Recorder {
             let (start, end, post) = (chunk[0], chunk[k + 1], chunk[k + 2]);
             assert_eq!(end.version, start.version, "no optimizer step before chunk_end");
             assert_eq!(post.version, end.version + 1, "one optimizer step before post_step");
-            let checkpoint = start.checkpoint;
-            assert!(chunk.iter().all(|c| c.checkpoint == checkpoint), "no save inside a chunk");
-            out.push((idxs, checkpoint));
+            out.push(idxs);
         }
         out
     }
@@ -111,17 +99,13 @@ impl TrainTask for Recorder {
     }
 }
 
-fn idxs(chunks: &[(Vec<usize>, bool)]) -> Vec<Vec<usize>> {
-    chunks.iter().map(|(i, _)| i.clone()).collect()
-}
-
 /// Fits a fresh recorder with the trainer and with the reference loop;
 /// both must call the hooks identically.
 fn fit_both(n: usize, plan: Plan) -> Recorder {
     let config = TrainerConfig::new(plan, 1e-2);
-    let mut fitted = Recorder::new(n, None);
+    let mut fitted = Recorder::new(n);
     Trainer::new(config.clone()).fit(&mut fitted, &mut StdRng::seed_from_u64(1));
-    let mut legacy = Recorder::new(n, None);
+    let mut legacy = Recorder::new(n);
     reference::run(&mut legacy, &config, &mut StdRng::seed_from_u64(1));
     assert_eq!(fitted.calls, legacy.calls, "trainer and reference hook calls");
     fitted
@@ -131,36 +115,12 @@ fn fit_both(n: usize, plan: Plan) -> Recorder {
 fn epochs_with_a_short_last_chunk() {
     let rec = fit_both(7, Plan::Epochs { epochs: 2, chunk: 3, shuffle: false });
     let epoch = [vec![0, 1, 2], vec![3, 4, 5], vec![6]];
-    assert_eq!(idxs(&rec.chunks()), [epoch.clone(), epoch].concat());
+    assert_eq!(rec.chunks(), [epoch.clone(), epoch].concat());
 }
 
 #[test]
 fn sliding_window() {
     let rec = fit_both(4, Plan::Window { steps: 5, take: 3 });
     let want = [vec![0, 1, 2], vec![1, 2, 3], vec![2, 3], vec![3], vec![0, 1, 2]];
-    assert_eq!(idxs(&rec.chunks()), want);
-}
-
-#[test]
-fn chunk_end_runs_before_checkpoint_saves_and_halts() {
-    let dir = std::env::temp_dir().join(format!("preqr-hook-order-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("run.ckpt");
-    let _ = std::fs::remove_file(&path);
-    let mut config = TrainerConfig::new(Plan::Epochs { epochs: 2, chunk: 3, shuffle: false }, 1e-2)
-        .with_checkpoint(CheckpointConfig::new(path.clone(), 2));
-    config.halt_after_steps = Some(5);
-    let mut rec = Recorder::new(7, Some(path));
-    let report = Trainer::new(config).fit(&mut rec, &mut StdRng::seed_from_u64(1));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    assert!(report.halted);
-    assert_eq!(report.steps, 5);
-    let chunks = rec.chunks();
-    // Every optimizer step had its chunk_end, the halting one included.
-    assert_eq!(chunks.len(), 5);
-    // The first save follows step 2: chunks 0 and 1 ran all their hooks,
-    // chunk_end and post_step included, before the file existed.
-    let saved: Vec<bool> = chunks.iter().map(|(_, ck)| *ck).collect();
-    assert_eq!(saved, [false, false, true, true, true]);
+    assert_eq!(rec.chunks(), want);
 }
